@@ -813,22 +813,14 @@ class SymbolicAnalyzer:
 def _compiled_event_structure(system: "DataControlSystem",
                               environment: "Environment", *,
                               max_steps: int):
-    """Event structure + firing steps via the *compiled* vector backend.
-
-    Never the interpreter when the system is supported; systems outside
-    the vector backend's policy/hook envelope degrade to the interpreter
-    (explicitly, and only for the data phase the static techniques cannot
-    replace)."""
+    """Event structure + firing steps via the *compiled* vector backend
+    (never the interpreter)."""
     from ..semantics.event_structure import event_structure_from_trace
     from ..semantics.policies import MaximalStepPolicy
     from ..semantics.simulator import Simulator
 
-    try:
-        simulator = Simulator(system, environment, MaximalStepPolicy(),
-                              backend="vector")
-    except DefinitionError:
-        simulator = Simulator(system, environment, MaximalStepPolicy())
-    trace = simulator.run(max_steps=max_steps)
+    trace = Simulator(system, environment, MaximalStepPolicy(),
+                      backend="vector").run(max_steps=max_steps)
     return event_structure_from_trace(system, trace), \
         [list(step) for step in trace.steps]
 

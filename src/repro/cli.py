@@ -23,17 +23,18 @@ Commands
     compiled vector backend (:mod:`repro.semantics.vector`) instead of
     the interpreter — same trace, compiled execution.
 ``faults DESIGN [--fault SPEC]… [--faults-file PATH] [--auto N]
-[--seed N] [--format text|json] [--output PATH] [--checkpoint PATH]
-[--journal PATH] [--resume] [--backend interpreter|vector]``
+[--seed N] [--format text|json] [--output PATH] [--journal PATH]
+[--resume] [--backend interpreter|vector] [--chunk-size N]``
     Run a fault-injection campaign (:mod:`repro.faults`): each fault is
     injected into its own run with the runtime Definition 3.2 monitors
     attached, and the report classifies every fault as masked /
     detected / silent against the golden run's external event
     structure.  ``--journal`` fsyncs every verdict as it settles;
     ``--resume`` restarts a killed campaign without re-running journaled
-    faults.  ``--backend vector`` fans the campaign as vectorised
-    16-fault batches sharing each golden run (identical verdicts and
-    journal records).  Exits 0 when every fault was masked or detected, 1 on a
+    faults.  ``--backend vector`` sends ``faults`` jobs of
+    ``--chunk-size`` faults (default 16) whose golden run is shared and
+    computed by the vector backend (identical verdicts and journal
+    records).  Exits 0 when every fault was masked or detected, 1 on a
     silent deviation, 2 on usage or infrastructure errors, 130 when
     interrupted.
 ``synthesize DESIGN [--w-time F] [--w-area F] [--limit op=N]… ``
@@ -367,8 +368,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     with _make_engine(args) as engine, GracefulShutdown() as shutdown:
         report = run_campaign(
             system, faults, env, engine=engine, seed=args.seed,
-            max_steps=args.max_steps, checkpoint_path=args.checkpoint,
-            journal_path=args.journal, resume=args.resume,
+            max_steps=args.max_steps, journal_path=args.journal, resume=args.resume,
             stop_event=shutdown.stop_event, backend=args.backend,
             chunk_size=args.chunk_size)
     interrupted = shutdown.stop_event.is_set()
@@ -1057,16 +1057,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--output", metavar="PATH",
                           help="write the JSON report here "
                                "('-' for stdout)")
-    p_faults.add_argument("--checkpoint", metavar="PATH",
-                          help="resumable report file: completed faults "
-                               "are not re-run")
     p_faults.add_argument("--backend", choices=("interpreter", "vector"),
                           default="interpreter",
                           help="campaign backend: one job per fault, or "
                                "vectorised fault batches sharing each "
                                "golden run (identical verdicts)")
     p_faults.add_argument("--chunk-size", type=int, default=16, metavar="N",
-                          help="faults per vecbatch job under --backend "
+                          help="faults per job under --backend "
                                "vector (default 16; never changes verdicts "
                                "or journal keys)")
     _add_engine_options(p_faults)

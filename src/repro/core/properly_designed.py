@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from ..datapath.ports import PortId
 from ..diagnostics import Diagnostic, Location
 from ..errors import ValidationError
 from ..petri.properties import check_safety, unsafe_witness_message
@@ -175,20 +174,6 @@ def _check_safety(system: DataControlSystem, max_markings: int) -> CheckResult:
             system=system.name,
         ))
     return CheckResult.from_diagnostics("2: control net is safe", found)
-
-
-def _is_complement(system: DataControlSystem, a: PortId, b: PortId) -> bool:
-    """Deprecated shim for :func:`repro.analysis.lint.is_complement`."""
-    from ..analysis.lint import is_complement
-
-    return is_complement(system, a, b)
-
-
-def _guards_exclusive(system: DataControlSystem, t_1: str, t_2: str) -> bool:
-    """Deprecated shim for :func:`repro.analysis.lint.guards_exclusive`."""
-    from ..analysis.lint import guards_exclusive
-
-    return guards_exclusive(system, t_1, t_2)
 
 
 def _check_conflict_free(system: DataControlSystem) -> CheckResult:

@@ -1,11 +1,11 @@
 """Fault campaigns — fan faults across the batch engine, judge each run.
 
 One campaign takes a system, its environment, and a fault list, and
-answers for every fault: *did the hardware notice?*  Each fault becomes
-one self-contained, content-addressed ``faults`` job
+answers for every fault: *did the hardware notice?*  The faults travel
+in self-contained, content-addressed ``faults`` jobs
 (:func:`repro.runtime.jobs.faults_job`); the worker replays the
-**golden** (fault-free) run, replays the faulty run with the
-:class:`~repro.faults.inject.FaultInjector` and the standard
+**golden** (fault-free) run once per job, replays each faulty run with
+the :class:`~repro.faults.inject.FaultInjector` and the standard
 :mod:`~repro.faults.monitors` stack attached, and classifies:
 
 ``masked``
@@ -29,8 +29,7 @@ interruption: :func:`run_campaign` can write every verdict to a
 fsynced write-ahead journal (``journal_path=``) the moment the job
 settles, and a killed campaign restarted with ``resume=True`` skips
 every journaled fault — the final report is identical to an
-uninterrupted run.  The coarser report-file checkpoint
-(``checkpoint_path=``) is still supported.
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -119,13 +118,13 @@ def run_single_fault(system, fault: FaultSpec,
     fault, environment, max_steps, campaign_seed)`` — exactly what the
     content-addressed job cache needs.
 
-    ``_golden`` is a memoization hand-off for batch runners (the
-    ``vecbatch`` job kind): a golden :class:`~repro.semantics.trace.
-    Trace` for this exact ``(system, environment, campaign_seed,
-    max_steps)`` configuration.  Because the golden run is deterministic
-    in those inputs (and the vector backend is byte-identical to the
-    interpreter), passing it cannot change the payload — it only skips
-    recomputing the same trace for every fault in a chunk.
+    ``_golden`` is a memoization hand-off for ``faults`` jobs: a golden
+    :class:`~repro.semantics.trace.Trace` for this exact ``(system,
+    environment, campaign_seed, max_steps)`` configuration.  Because the
+    golden run is deterministic in those inputs (and the vector backend
+    is byte-identical to the interpreter), passing it cannot change the
+    payload — it only skips recomputing the same trace for every fault
+    in a chunk.
     """
     fault.validate(system)
     env = environment if environment is not None else Environment()
@@ -299,7 +298,6 @@ def _campaign_header(system_name: str, seed: int,
 def run_campaign(system, faults: Sequence[FaultSpec],
                  environment: Environment | None = None, *,
                  engine=None, seed: int = 0, max_steps: int = 10_000,
-                 checkpoint_path: str | None = None,
                  journal_path: str | None = None, resume: bool = False,
                  limit: int | None = None,
                  stop_event=None,
@@ -310,17 +308,18 @@ def run_campaign(system, faults: Sequence[FaultSpec],
     ``engine`` is a :class:`~repro.runtime.executor.ExecutionEngine` (a
     serial one is created when omitted).
 
-    ``backend="vector"`` fans the same campaign as a handful of
-    ``vecbatch`` jobs (``chunk_size`` faults each, default 16) instead
-    of one job per fault: each chunk shares one golden run (computed
-    through the compiled vector backend) across its faults.  Verdicts,
-    journal records, and the final report are identical to the
-    per-fault backend — including the per-fault content-addressed
-    ``key`` entries, so a journal written by one backend resumes
-    seamlessly under the other.  ``chunk_size`` is a pure
-    throughput/latency trade (bigger chunks amortise the golden run
-    over more faults, smaller chunks parallelise and settle sooner);
-    it never changes verdicts or journal keys.
+    ``backend="interpreter"`` sends one ``faults`` job per fault, so
+    every verdict is cached on its own.  ``backend="vector"`` sends
+    ``chunk_size`` faults per job (default 16): each chunk shares one
+    golden run, computed through the compiled vector backend, across
+    its faults.  Verdicts, journal records, and the final report are
+    identical under both — including the per-fault content-addressed
+    ``key`` entries (:func:`~repro.runtime.jobs.fault_keys`), so a
+    journal written by one backend resumes seamlessly under the
+    other.  ``chunk_size`` is a pure throughput/latency trade (bigger
+    chunks amortise the golden run over more faults, smaller chunks
+    parallelise and settle sooner); it never changes verdicts or
+    journal keys.
 
     ``journal_path`` attaches a write-ahead journal
     (:class:`~repro.runtime.durable.Journal`): a header record pins the
@@ -332,20 +331,15 @@ def run_campaign(system, faults: Sequence[FaultSpec],
     not re-dispatched: a killed campaign restarted with the same
     arguments produces the same final report as an uninterrupted one.
 
-    ``checkpoint_path`` is the coarser legacy mechanism — the full
-    report JSON is (re)written there after the batch and previously
-    reported keys are skipped on the next call.  ``limit`` caps how many
-    *new* jobs run in this call (the deterministic way to interrupt
-    mid-campaign); ``stop_event`` requests a graceful stop between jobs.
-    The returned report has ``complete=False`` while results are
-    missing.
+    ``limit`` caps how many *new* faults run in this call (the
+    deterministic way to interrupt mid-campaign); ``stop_event``
+    requests a graceful stop between jobs.  The returned report has
+    ``complete=False`` while results are missing.
     """
-    import os
-
     from ..errors import PersistenceError
     from ..runtime.durable import Journal, read_journal
     from ..runtime.executor import ExecutionEngine
-    from ..runtime.jobs import faults_job, vecbatch_faults_job
+    from ..runtime.jobs import fault_keys, faults_job
 
     if backend not in ("interpreter", "vector"):
         raise DefinitionError(
@@ -355,19 +349,12 @@ def run_campaign(system, faults: Sequence[FaultSpec],
         raise DefinitionError(
             f"chunk_size must be >= 1, got {chunk_size}")
     specs = resolve_seeds(list(faults), seed)
-    for spec in specs:
-        spec.validate(system)
-    jobs = [faults_job(system, spec, environment, max_steps=max_steps,
-                       campaign_seed=seed, label=spec.describe())
-            for spec in specs]
+    # validates every fault up front and yields the per-fault keys
+    whole = faults_job(system, specs, environment, max_steps=max_steps,
+                       campaign_seed=seed, backend=backend)
+    keys = fault_keys(whole.system, whole.params)
 
     prior: dict[str, dict[str, Any]] = {}
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as handle:
-            saved = CampaignReport.from_dict(json.load(handle))
-        prior = {result["key"]: result for result in saved.results
-                 if "key" in result}
-
     journal: Journal | None = None
     header = _campaign_header(system.name, seed, max_steps)
     if journal_path is not None:
@@ -390,21 +377,14 @@ def run_campaign(system, faults: Sequence[FaultSpec],
         if not saw_header:
             journal.append(header)
 
-    pending_pairs = [(spec, job) for spec, job in zip(specs, jobs)
-                     if job.key not in prior]
+    todo = [spec for spec, key in zip(specs, keys) if key not in prior]
     if limit is not None:
-        pending_pairs = pending_pairs[:limit]
-    if backend == "vector":
-        # a handful of vectorised batches instead of one job per fault
-        chunk = chunk_size
-        pending = [
-            vecbatch_faults_job(
-                system, [spec for spec, _job in pending_pairs[i:i + chunk]],
-                environment, campaign_seed=seed, max_steps=max_steps)
-            for i in range(0, len(pending_pairs), chunk)
-        ]
-    else:
-        pending = [job for _spec, job in pending_pairs]
+        todo = todo[:limit]
+    per_job = chunk_size if backend == "vector" else 1
+    pending = [faults_job(system, todo[i:i + per_job], environment,
+                          max_steps=max_steps, campaign_seed=seed,
+                          backend=backend)
+               for i in range(0, len(todo), per_job)]
     fresh: dict[str, dict[str, Any]] = {}
 
     def record(key: str, entry: dict[str, Any]) -> None:
@@ -413,37 +393,23 @@ def run_campaign(system, faults: Sequence[FaultSpec],
             journal.append({"type": "verdict", "key": key, "entry": entry})
 
     def settle(result) -> None:
-        """Fold one finished job in and journal its verdict immediately."""
+        """Fold one finished job in and journal its verdicts immediately."""
         if result.status == "interrupted":
             return  # not a verdict — the job simply never ran
-        if result.spec.kind == "vecbatch":
-            # one chunk settles many faults, each under its classic
-            # per-fault key (journal interop with the per-fault backend)
-            if result.ok:
-                for entry in result.payload["entries"]:
-                    record(entry["key"], entry)
-            else:
-                for item in result.spec.params["entries"]:
-                    record(item["key"], {
-                        "key": item["key"],
-                        "fault": item["fault"],
-                        "label": item["label"],
-                        "verdict": "error",
-                        "error": result.error,
-                    })
-            return
-        key = result.spec.key
         if result.ok:
-            entry = dict(result.payload, key=key)
-        else:
-            entry = {
+            for entry in result.payload["entries"]:
+                record(entry["key"], entry)
+            return
+        params = result.spec.params
+        for fault, key in zip(params["faults"],
+                              fault_keys(result.spec.system, params)):
+            record(key, {
                 "key": key,
-                "fault": result.spec.params["fault"],
-                "label": result.spec.label,
+                "fault": fault,
+                "label": FaultSpec.from_dict(fault).describe(),
                 "verdict": "error",
                 "error": result.error,
-            }
-        record(key, entry)
+            })
 
     try:
         if pending:
@@ -458,17 +424,12 @@ def run_campaign(system, faults: Sequence[FaultSpec],
 
     results = []
     complete = True
-    for job in jobs:
-        entry = prior.get(job.key) or fresh.get(job.key)
+    for key in keys:
+        entry = prior.get(key) or fresh.get(key)
         if entry is None:
             complete = False
             continue
         results.append(entry)
-    report = CampaignReport(system=system.name, seed=seed,
-                            max_steps=max_steps, results=results,
-                            complete=complete)
-    if checkpoint_path is not None:
-        with open(checkpoint_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return report
+    return CampaignReport(system=system.name, seed=seed,
+                          max_steps=max_steps, results=results,
+                          complete=complete)

@@ -9,9 +9,10 @@ designs, environments, objective weights and random seeds; what was
 missing is a job engine, and this package is it:
 
 :mod:`repro.runtime.jobs`
-    Declarative, JSON-serializable :class:`JobSpec`\\ s for the five
-    workload kinds, each with a content-addressed key hashed from the
-    system's canonical JSON plus parameters, and the deterministic
+    Declarative, JSON-serializable :class:`JobSpec`\\ s for the
+    workload kinds in :data:`~repro.runtime.jobs.JOB_KINDS`, each with
+    a content-addressed key hashed from the system's canonical JSON
+    plus parameters, and the deterministic
     :func:`execute_job` interpreter that workers run.
 :mod:`repro.runtime.executor`
     :class:`ExecutionEngine` — a ``ProcessPoolExecutor``-backed fleet
@@ -92,7 +93,6 @@ from .jobs import (
     check_job,
     lint_job,
     equiv_job,
-    equivalence_job,
     execute_job,
     faults_job,
     fuzz_job,
@@ -102,8 +102,6 @@ from .jobs import (
     reachability_job,
     simulate_job,
     synthesize_job,
-    vecbatch_faults_job,
-    vecbatch_simulate_job,
     write_job_file,
 )
 from .metrics import FleetMetrics, aggregate_sim_metrics
@@ -147,11 +145,8 @@ __all__ = [
     "lint_job",
     "reachability_job",
     "equiv_job",
-    "equivalence_job",
     "synthesize_job",
     "faults_job",
-    "vecbatch_simulate_job",
-    "vecbatch_faults_job",
     "probe_job",
     "fuzz_job",
     "load_job_file",

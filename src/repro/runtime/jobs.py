@@ -33,14 +33,14 @@ from typing import Any, Mapping, Sequence
 from ..errors import DefinitionError, ExecutionError
 
 #: The workload kinds the engine understands.  ``probe`` is the
-#: fault-injection aid; the other six are the library's real workloads.
-JOB_KINDS = ("simulate", "check", "reachability", "equivalence", "equiv",
-             "synthesize", "lint", "faults", "vecbatch", "fuzz", "probe")
+#: fault-injection aid; the other eight are the library's real workloads.
+JOB_KINDS = ("simulate", "check", "reachability", "equiv", "synthesize",
+             "lint", "faults", "fuzz", "probe")
 
 #: Bumped whenever the payload format of any kind changes, so stale
 #: cache entries from an older engine can never be confused for current
 #: results (the version participates in every job key).
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 JOB_FILE_FORMAT = 1
 
@@ -208,28 +208,17 @@ def reachability_job(system, *, max_markings: int = 100_000,
     }, label=label)
 
 
-def equivalence_job(system, other, environment=None, *,
-                    max_steps: int = 10_000, label: str = "") -> JobSpec:
-    """Bounded semantic-equivalence check of two systems (Def. 4.1)."""
-    return JobSpec("equivalence", _system_dict(system), {
-        "other": _system_dict(other),
-        "environment": _environment_to_dict(environment),
-        "max_steps": max_steps,
-    }, label=label)
-
-
 def equiv_job(system, other, environment=None, *,
               max_steps: int = 10_000, backend: str = "symbolic",
               label: str = "") -> JobSpec:
-    """Backend-selectable equivalence check with a replayable witness.
+    """Semantic-equivalence check (Def. 4.1) with a replayable witness.
 
-    The scalable successor of :func:`equivalence_job`: the payload
-    carries the distinguishing firing sequences on an inequivalence
-    verdict, and ``backend`` picks the engine (``"symbolic"`` — the
-    static/vectorised path — by default, ``"explicit"`` as the
-    differential oracle).  The backend participates in the job key:
-    verdicts from different engines are cached independently so the
-    differential tests can compare them.
+    The payload carries the distinguishing firing sequences on an
+    inequivalence verdict, and ``backend`` picks the engine
+    (``"symbolic"`` — the static/vectorised path — by default,
+    ``"explicit"`` as the differential oracle).  The backend
+    participates in the job key: verdicts from different engines are
+    cached independently so the differential tests can compare them.
     """
     if backend not in ("explicit", "symbolic"):
         raise DefinitionError(
@@ -261,79 +250,52 @@ def synthesize_job(system, objective=None, *, algorithm: str = "greedy",
     }, label=label)
 
 
-def faults_job(system, fault, environment=None, *, max_steps: int = 10_000,
-               campaign_seed: int = 0, label: str = "") -> JobSpec:
-    """One fault-injection experiment (golden run, faulty run, verdict).
+def faults_job(system, faults, environment=None, *,
+               max_steps: int = 10_000, campaign_seed: int = 0,
+               backend: str = "interpreter", label: str = "") -> JobSpec:
+    """Fault experiments sharing one golden run (golden, faulty, verdict).
 
-    ``fault`` is a :class:`~repro.faults.spec.FaultSpec`; it is validated
-    against ``system`` eagerly so a typo'd target fails at submission
-    time, not inside a worker.  The payload is produced by
-    :func:`repro.faults.campaign.run_single_fault`.
+    ``faults`` is a sequence of :class:`~repro.faults.spec.FaultSpec`;
+    each is validated against ``system`` eagerly so a typo'd target
+    fails at submission time, not inside a worker.  ``backend``
+    (``"interpreter"`` or ``"vector"``) runs the shared golden run;
+    faulty runs always take the interpreter's hook path.  The payload
+    is ``{"entries": [...]}``: one
+    :func:`repro.faults.campaign.run_single_fault` payload per fault,
+    plus its :func:`fault_keys` key, which depends on neither the
+    backend nor how faults are grouped into jobs.
     """
-    fault.validate(system)
+    if backend not in ("interpreter", "vector"):
+        raise DefinitionError(
+            f"unknown faults backend {backend!r}: "
+            "expected 'interpreter' or 'vector'")
+    for fault in faults:
+        fault.validate(system)
+    if not label:
+        label = (faults[0].describe() if len(faults) == 1
+                 else f"{len(faults)} faults")
     return JobSpec("faults", _system_dict(system), {
-        "fault": fault.to_dict(),
+        "faults": [fault.to_dict() for fault in faults],
         "environment": _environment_to_dict(environment),
         "max_steps": max_steps,
         "campaign_seed": campaign_seed,
-    }, label=label or fault.describe())
+        "backend": backend,
+    }, label=label)
 
 
-def vecbatch_simulate_job(system, environments, *,
-                          max_steps: int = 10_000, strict: bool = True,
-                          on_limit: str = "raise",
-                          label: str = "") -> JobSpec:
-    """Simulate one system against many environments in a single job.
+def fault_keys(system: Mapping[str, Any] | None,
+               params: Mapping[str, Any]) -> list[str]:
+    """Per-fault result keys of a ``faults`` job's ``system`` and ``params``.
 
-    The worker compiles the system once
-    (:func:`repro.semantics.vector.compile_system`) and advances all
-    lanes together; the payload carries one per-lane record whose shape
-    matches the ``simulate`` kind's payload exactly, so downstream
-    consumers can treat a vecbatch as a batch of simulate results.
+    Each is the key a one-fault experiment has always had: system,
+    fault, environment, step budget and campaign seed, without the
+    backend or the other faults of the job — so campaign journals and
+    reports are interchangeable across backends and chunk sizes.
     """
-    return JobSpec("vecbatch", _system_dict(system), {
-        "mode": "simulate",
-        "environments": [_environment_to_dict(env) for env in environments],
-        "max_steps": max_steps,
-        "strict": strict,
-        "on_limit": on_limit,
-    }, label=label or f"vecbatch of {len(environments)} runs")
-
-
-def vecbatch_faults_job(system, faults, environment=None, *,
-                        campaign_seed: int = 0, max_steps: int = 10_000,
-                        label: str = "") -> JobSpec:
-    """A chunk of fault experiments sharing one golden run.
-
-    Each entry embeds the content-addressed key of the **classic
-    per-fault job** (:func:`faults_job` with the same system,
-    environment, budget, and seed), so campaign checkpoints and journals
-    written by the vecbatch backend are interchangeable with per-fault
-    runs: a verdict settled here can satisfy a resumed per-fault
-    campaign and vice versa.
-    """
-    sysdict = _system_dict(system)
-    envdict = _environment_to_dict(environment)
-    entries = []
-    for fault in faults:
-        fault.validate(system)
-        entries.append({
-            "fault": fault.to_dict(),
-            "key": job_key("faults", sysdict, {
-                "fault": fault.to_dict(),
-                "environment": envdict,
-                "max_steps": max_steps,
-                "campaign_seed": campaign_seed,
-            }),
-            "label": fault.describe(),
-        })
-    return JobSpec("vecbatch", sysdict, {
-        "mode": "faults",
-        "entries": entries,
-        "environment": envdict,
-        "max_steps": max_steps,
-        "campaign_seed": campaign_seed,
-    }, label=label or f"vecbatch of {len(entries)} faults")
+    shared = {name: params[name]
+              for name in ("environment", "max_steps", "campaign_seed")}
+    return [job_key("faults", system, dict(shared, fault=fault))
+            for fault in params["faults"]]
 
 
 def fuzz_job(*, seed: int = 0, cases: int = 200, offset: int = 0,
@@ -429,24 +391,28 @@ def execute_job(spec: Mapping[str, Any]) -> dict[str, Any]:
         return _run_lint(system, params)
     if kind == "reachability":
         return _run_reachability(system, params)
-    if kind == "equivalence":
-        return _run_equivalence(system, params)
     if kind == "equiv":
         return _run_equiv(system, params)
     if kind == "synthesize":
         return _run_synthesize(system, params)
     if kind == "faults":
-        return _run_faults(system, params)
-    if kind == "vecbatch":
-        return _run_vecbatch(system, params)
+        return _run_faults(system, spec["system"], params)
     raise DefinitionError(f"unknown job kind {kind!r}")
 
 
-def _trace_payload(system, trace) -> dict[str, Any]:
-    """The JSON-safe summary of one trace (shared by simulate/vecbatch)."""
+def _run_simulate(system, params) -> dict[str, Any]:
     from ..designs.base import pad_outputs
+    from ..semantics.simulator import simulate
 
-    return {
+    trace = simulate(
+        system,
+        _environment_from_dict(params.get("environment")),
+        max_steps=params.get("max_steps", 10_000),
+        strict=params.get("strict", True),
+        fast=params.get("fast", True),
+        on_limit=params.get("on_limit", "raise"),
+    )
+    payload = {
         "step_count": trace.step_count,
         "firings": trace.num_firings,
         "terminated": trace.terminated,
@@ -460,20 +426,6 @@ def _trace_payload(system, trace) -> dict[str, Any]:
                     for pad, values in sorted(pad_outputs(system,
                                                           trace).items())},
     }
-
-
-def _run_simulate(system, params) -> dict[str, Any]:
-    from ..semantics.simulator import simulate
-
-    trace = simulate(
-        system,
-        _environment_from_dict(params.get("environment")),
-        max_steps=params.get("max_steps", 10_000),
-        strict=params.get("strict", True),
-        fast=params.get("fast", True),
-        on_limit=params.get("on_limit", "raise"),
-    )
-    payload = _trace_payload(system, trace)
     metrics = trace.metrics.as_dict() if trace.metrics is not None else None
     return {"payload": payload, "sim_metrics": metrics}
 
@@ -516,23 +468,6 @@ def _run_reachability(system, params) -> dict[str, Any]:
         "is_safe": graph.is_safe,
         "num_deadlocks": len(graph.deadlocks),
         "num_terminals": len(graph.terminals),
-    }, "sim_metrics": None}
-
-
-def _run_equivalence(system, params) -> dict[str, Any]:
-    from ..core.equivalence import semantically_equivalent
-    from ..io.json_io import system_from_dict
-
-    other = system_from_dict(params["other"])
-    verdict = semantically_equivalent(
-        system, other,
-        _environment_from_dict(params.get("environment")),
-        max_steps=params.get("max_steps", 10_000),
-    )
-    return {"payload": {
-        "equivalent": verdict.equivalent,
-        "relation": verdict.relation,
-        "reason": verdict.reason,
     }, "sim_metrics": None}
 
 
@@ -597,73 +532,29 @@ def _run_synthesize(system, params) -> dict[str, Any]:
     }, "sim_metrics": None}
 
 
-def _run_faults(system, params) -> dict[str, Any]:
-    from ..faults.campaign import run_single_fault
-    from ..faults.spec import FaultSpec
-
-    payload = run_single_fault(
-        system,
-        FaultSpec.from_dict(params["fault"]),
-        _environment_from_dict(params.get("environment")),
-        max_steps=params.get("max_steps", 10_000),
-        campaign_seed=params.get("campaign_seed", 0),
-    )
-    return {"payload": payload, "sim_metrics": None}
-
-
-def _run_vecbatch(system, params) -> dict[str, Any]:
-    mode = params.get("mode", "simulate")
-    if mode == "simulate":
-        return _run_vecbatch_simulate(system, params)
-    if mode == "faults":
-        return _run_vecbatch_faults(system, params)
-    raise DefinitionError(
-        f"unknown vecbatch mode {mode!r}; choose 'simulate' or 'faults'")
-
-
-def _run_vecbatch_simulate(system, params) -> dict[str, Any]:
-    from ..semantics.vector import Lane, VectorSimulator
-
-    lanes = [Lane(_environment_from_dict(env))
-             for env in params.get("environments", [])]
-    sim = VectorSimulator(system, strict=params.get("strict", True))
-    result = sim.run(lanes, max_steps=params.get("max_steps", 10_000),
-                     on_limit=params.get("on_limit", "raise"))
-    return {"payload": {
-        "lanes": [_trace_payload(system, result.trace(i))
-                  for i in range(len(lanes))],
-    }, "sim_metrics": None}
-
-
-def _run_vecbatch_faults(system, params) -> dict[str, Any]:
+def _run_faults(system, system_dict, params) -> dict[str, Any]:
     from ..faults.campaign import run_single_fault
     from ..faults.spec import FaultSpec
     from ..semantics.policies import SeededMaximalPolicy
     from ..semantics.simulator import Simulator
 
     environment = _environment_from_dict(params.get("environment"))
-    max_steps = params.get("max_steps", 10_000)
-    campaign_seed = params.get("campaign_seed", 0)
-    # One golden run shared by the whole chunk — through the vector
-    # backend when the system/policy is supported, else the interpreter
-    # (byte-identical either way; see run_single_fault's _golden note).
-    try:
-        golden = Simulator(system, environment.fork(),
-                           SeededMaximalPolicy(campaign_seed),
-                           strict=False, backend="vector").run(
-                               max_steps=max_steps, on_limit="return")
-    except DefinitionError:
-        golden = Simulator(system, environment.fork(),
-                           SeededMaximalPolicy(campaign_seed),
-                           strict=False).run(max_steps=max_steps,
-                                             on_limit="return")
+    max_steps = params["max_steps"]
+    campaign_seed = params["campaign_seed"]
+    # one golden run shared by every fault of the job (both backends
+    # give the same trace; see run_single_fault's _golden note)
+    golden = Simulator(system, environment.fork(),
+                       SeededMaximalPolicy(campaign_seed), strict=False,
+                       backend=params["backend"]).run(
+                           max_steps=max_steps, on_limit="return")
     entries = []
-    for entry in params.get("entries", []):
+    for fault, key in zip(params["faults"],
+                          fault_keys(system_dict, params)):
         payload = run_single_fault(
-            system, FaultSpec.from_dict(entry["fault"]), environment,
+            system, FaultSpec.from_dict(fault), environment,
             max_steps=max_steps, campaign_seed=campaign_seed,
             _golden=golden)
-        entries.append(dict(payload, key=entry["key"]))
+        entries.append(dict(payload, key=key))
     return {"payload": {"entries": entries}, "sim_metrics": None}
 
 

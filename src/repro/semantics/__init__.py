@@ -47,7 +47,6 @@ from .vector import (
     BatchResult,
     CompiledSystem,
     Lane,
-    VectorCheckpoint,
     VectorSimulator,
     compile_system,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "observed_conflicts",
     "CompiledSystem",
     "VectorSimulator",
-    "VectorCheckpoint",
     "BatchResult",
     "Lane",
     "compile_system",

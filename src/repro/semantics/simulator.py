@@ -759,7 +759,9 @@ class Simulator:
                                                mode="scalar")
         result = self._vector_sim.run(
             [Lane(self.environment, self.policy)], max_steps=max_steps,
-            on_limit=on_limit, from_checkpoint=from_checkpoint)
+            on_limit=on_limit,
+            from_checkpoint=(None if from_checkpoint is None
+                             else (from_checkpoint,)))
         return result.trace(0)
 
     def checkpoint(self) -> Checkpoint:
@@ -775,7 +777,7 @@ class Simulator:
                 raise DefinitionError(
                     "no vector-backend run has happened yet; nothing to "
                     "snapshot")
-            return self._vector_sim.checkpoint().lane(0)
+            return self._vector_sim.checkpoint()[0]
         rng = getattr(self.policy, "_rng", None)
         return Checkpoint(
             step=self._current_step,

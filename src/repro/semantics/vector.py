@@ -44,8 +44,8 @@ including conflict records, latch order, activation identifiers and
 seeded-policy decisions.  The numpy engine pre-checks operand
 magnitudes and falls back to exact per-lane Python evaluation whenever
 a result might not fit in 64 bits; a value that cannot be *stored* in
-64 bits raises :class:`~repro.errors.ExecutionError` (use the scalar
-engine or the interpreter for bignum workloads).
+64 bits raises :class:`~repro.errors.ExecutionError` for its own lane
+only (use the scalar engine or the interpreter for bignum workloads).
 
 Unsupported in this backend (``DefinitionError``): simulator hooks
 (fault injectors perturb per-step state the compiler froze) and
@@ -360,17 +360,25 @@ def _store_word(value: Value) -> int:
         "the scalar mode or the interpreter")
 
 
-def _python_eval(op: Operation, arg_vals, arg_defs, n: int):
-    """Exact per-lane fallback for one numpy tape instruction."""
+def _python_eval(op: Operation, arg_vals, arg_defs, n: int, lane_errors):
+    """Exact per-lane fallback for one numpy tape instruction.
+
+    A lane whose evaluation fails (e.g. a result outside int64) reads as
+    undefined and its first error lands in ``lane_errors`` under its
+    position in the group; the caller fails that lane alone.
+    """
     values = np.zeros(n, dtype=np.int64)
     defined = np.zeros(n, dtype=bool)
     for j in range(n):
         args = [int(col[j]) if dcol[j] else UNDEF
                 for col, dcol in zip(arg_vals, arg_defs)]
-        result = op.evaluate(*args)
-        if result is not UNDEF:
-            values[j] = _store_word(result)
-            defined[j] = True
+        try:
+            result = op.evaluate(*args)
+            if result is not UNDEF:
+                values[j] = _store_word(result)
+                defined[j] = True
+        except ReproError as error:
+            lane_errors.setdefault(j, error)
     return values, defined
 
 
@@ -380,7 +388,9 @@ def _vector_instruction(op: Operation, out: int, args: tuple[int, ...]):
     Operates on the group's lane columns: reads the argument registers,
     dispatches the vector handler for the operation (falling back to
     exact per-lane Python on overflow risk or unknown operations), zeroes
-    undefined slots and writes the output register.
+    undefined slots and writes the output register.  Per-lane failures
+    of the fallback are collected in ``lane_errors`` (see
+    :func:`_python_eval`).
     """
     handler = _VECTOR_HANDLERS.get(op.name)
     if op.name.startswith("const[") and op.func is not None:
@@ -389,17 +399,17 @@ def _vector_instruction(op: Operation, out: int, args: tuple[int, ...]):
             message = (f"value {word} exceeds the vector backend's 64-bit "
                        "range; use the scalar mode or the interpreter")
 
-            def too_wide(values, defined, sel, _m=message):
+            def too_wide(values, defined, sel, lane_errors, _m=message):
                 raise ExecutionError(_m)
             return too_wide
 
-        def const(values, defined, sel, _o=out, _w=word):
+        def const(values, defined, sel, lane_errors, _o=out, _w=word):
             values[_o, sel] = _w
             defined[_o, sel] = True
         return const
 
-    def instr(values, defined, sel, _op=op, _o=out, _args=args,
-              _handler=handler):
+    def instr(values, defined, sel, lane_errors, _op=op, _o=out,
+              _args=args, _handler=handler):
         arg_vals = [values[a, sel] for a in _args]
         arg_defs = [defined[a, sel] for a in _args]
         if _handler is not None:
@@ -407,11 +417,11 @@ def _vector_instruction(op: Operation, out: int, args: tuple[int, ...]):
                 v, d = _handler((arg_vals, arg_defs))
             except _Fallback:
                 v, d = _python_eval(_op, arg_vals, arg_defs,
-                                    arg_vals[0].shape[0])
+                                    arg_vals[0].shape[0], lane_errors)
         else:
             n = (arg_vals[0].shape[0] if arg_vals
                  else values[_o, sel].shape[0])
-            v, d = _python_eval(_op, arg_vals, arg_defs, n)
+            v, d = _python_eval(_op, arg_vals, arg_defs, n, lane_errors)
         values[_o, sel] = np.where(d, v, 0)
         defined[_o, sel] = d
     return instr
@@ -789,24 +799,6 @@ class Lane:
     policy: FiringPolicy = field(default_factory=MaximalStepPolicy)
 
 
-@dataclass(frozen=True)
-class VectorCheckpoint:
-    """Batch snapshot: one interpreter checkpoint per lane.
-
-    Per-lane entries are ordinary
-    :class:`~repro.semantics.simulator.Checkpoint` objects, so batch
-    state round-trips through the interpreter — a lane checkpointed
-    here can resume under ``Simulator.run(from_checkpoint=...)`` and
-    vice versa.
-    """
-
-    step: int
-    lanes: tuple[Checkpoint, ...]
-
-    def lane(self, index: int) -> Checkpoint:
-        return self.lanes[index]
-
-
 class BatchResult:
     """Per-lane traces of one batch run (extracted lazily)."""
 
@@ -896,20 +888,21 @@ class VectorSimulator:
         self.strict = strict
         self.mode = mode
         self._last_lanes: list | None = None
-        self._last_step = 0
 
     # -- public API ------------------------------------------------------
     def run(self, lanes: Sequence[Lane], *, max_steps: int = 10_000,
             on_limit: str = "raise",
-            from_checkpoint: VectorCheckpoint | Checkpoint | None = None,
+            from_checkpoint: Sequence[Checkpoint] | None = None,
             capture_errors: bool = False) -> BatchResult:
         """Advance every lane to termination, deadlock, or the budget.
 
         Mirrors :meth:`Simulator.run` per lane (same eager validation,
         same ``on_limit`` semantics, ``max_steps`` is an absolute step
-        budget).  ``capture_errors=True`` records a failing lane's error
-        on the result (``BatchResult.error``) instead of raising, so one
-        bad lane cannot abort the batch.
+        budget).  ``from_checkpoint`` resumes lane ``i`` from the ``i``-th
+        interpreter :class:`~repro.semantics.simulator.Checkpoint` (see
+        :meth:`checkpoint`).  ``capture_errors=True`` records a failing
+        lane's error on the result (``BatchResult.error``) instead of
+        raising, so one bad lane cannot abort the batch.
         """
         if on_limit not in ("raise", "return"):
             raise ValueError(
@@ -919,12 +912,9 @@ class VectorSimulator:
                 f"max_steps must be a positive step budget, got {max_steps}")
         lanes = list(lanes)
         kinds = [_policy_kind(lane.policy) for lane in lanes]
-        if isinstance(from_checkpoint, Checkpoint):
-            from_checkpoint = VectorCheckpoint(
-                step=from_checkpoint.step, lanes=(from_checkpoint,))
-        if from_checkpoint is not None and len(from_checkpoint.lanes) != len(lanes):
+        if from_checkpoint is not None and len(from_checkpoint) != len(lanes):
             raise DefinitionError(
-                f"checkpoint carries {len(from_checkpoint.lanes)} lane(s) "
+                f"checkpoint carries {len(from_checkpoint)} lane(s) "
                 f"but the batch has {len(lanes)}")
         use_numpy = (self.mode == "numpy"
                      or (self.mode == "auto"
@@ -939,18 +929,19 @@ class VectorSimulator:
         return self._run_scalar(lanes, kinds, max_steps, on_limit,
                                 from_checkpoint, capture_errors)
 
-    def checkpoint(self) -> VectorCheckpoint:
-        """Snapshot every lane of the last run (see :class:`VectorCheckpoint`).
+    def checkpoint(self) -> tuple[Checkpoint, ...]:
+        """Snapshot every lane of the last run, one interpreter
+        :class:`~repro.semantics.simulator.Checkpoint` per lane.
 
         Valid after :meth:`run` returned with ``on_limit="return"`` —
-        the same contract as the interpreter's checkpoint.
+        the same contract as the interpreter's checkpoint.  Each entry
+        resumes under ``Simulator.run(from_checkpoint=...)`` as well as
+        here, so batch state round-trips through the interpreter.
         """
         if self._last_lanes is None:
             raise DefinitionError("no batch has run yet; nothing to snapshot")
-        return VectorCheckpoint(
-            step=self._last_step,
-            lanes=tuple(self._lane_checkpoint(entry)
-                        for entry in self._last_lanes))
+        return tuple(self._lane_checkpoint(entry)
+                     for entry in self._last_lanes)
 
     # -- scalar engine ---------------------------------------------------
     def _fresh_scalar_lane(self, index: int, lane: Lane, kind: str
@@ -1005,7 +996,6 @@ class VectorSimulator:
         wall_start = perf_counter()
         states: list[_ScalarLane] = []
         result = BatchResult(len(lanes), 0.0)
-        end_step = 0
         for i, (lane, kind) in enumerate(zip(lanes, kinds)):
             # lane setup draws the initial environment values, which can
             # itself raise (e.g. an exhausted stream under policy
@@ -1015,7 +1005,7 @@ class VectorSimulator:
             try:
                 if from_checkpoint is not None:
                     st = self._resumed_scalar_lane(i, lane, kind,
-                                                   from_checkpoint.lanes[i])
+                                                   from_checkpoint[i])
                 else:
                     st = self._fresh_scalar_lane(i, lane, kind)
                 self._drive_scalar_lane(st, max_steps, on_limit)
@@ -1029,14 +1019,12 @@ class VectorSimulator:
                 result._traces[i] = st.trace
             if st is not None:
                 states.append(st)
-                end_step = max(end_step, st.step)
         wall = perf_counter() - wall_start
         result._wall = wall
         for st in states:
             if st.trace.metrics is not None:
                 st.trace.metrics.wall_seconds = wall
         self._last_lanes = states
-        self._last_step = end_step
         return result
 
     def _drive_scalar_lane(self, st: _ScalarLane, max_steps: int,
@@ -1302,12 +1290,21 @@ class VectorSimulator:
                         f"combinational loop closed at step {step}: "
                         f"{plan.comb_error}", step=step, kind="comb_loop"))
                     continue
+                lane_errors: dict[int, ReproError] = {}
                 try:
                     for instr in comp.vec_tape(plan):
-                        instr(values, defined, ix)
+                        instr(values, defined, ix, lane_errors)
                 except ReproError as error:
                     fail(sel, error)
                     continue
+                if lane_errors:
+                    # only the lanes whose own values failed stop here
+                    for k, error in sorted(lane_errors.items()):
+                        fail([sel[k]], error)
+                    sel = sel[active[sel]]
+                    ix = sel
+                    if not len(sel):
+                        continue
                 # guard truth matrix over enabled transitions
                 n_enabled = len(plan.enabled)
                 if n_enabled:
@@ -1365,7 +1362,6 @@ class VectorSimulator:
         result._extract = self._make_extractor(
             n, chunks, finals, errors, values, defined, wall)
         # checkpoint support: freeze per-lane interpreter checkpoints
-        self._last_step = step
         self._last_lanes = [
             self._numpy_checkpoint(j, plan_ids, finals, values, defined,
                                    act_ident, act_start, counters,
@@ -1452,21 +1448,22 @@ class VectorSimulator:
                     elif mode == _LATCH_PLAIN:
                         nv = np.where(in_d, in_v, old_v)
                         nd = in_d | old_d
-                    elif op.name == "acc":
-                        if ((np.abs(old_v) > _ADD_BOUND).any()
-                                or (np.abs(in_v) > _ADD_BOUND).any()):
-                            cv, cd = _python_eval(op, (old_v, in_v),
-                                                  (old_d, in_d),
-                                                  old_v.shape[0])
-                        else:
+                    else:
+                        if op.name == "acc" and not (
+                                _magnitude_reaches(old_v, _ADD_BOUND)
+                                or _magnitude_reaches(in_v, _ADD_BOUND)):
                             cv = old_v + in_v
                             cd = old_d & in_d
-                        nv = np.where(cd, cv, old_v)
-                        nd = cd | old_d
-                    else:
-                        cv, cd = _python_eval(op, (old_v, in_v),
-                                              (old_d, in_d),
-                                              old_v.shape[0])
+                        else:
+                            lane_errors = {}
+                            cv, cd = _python_eval(op, (old_v, in_v),
+                                                  (old_d, in_d),
+                                                  old_v.shape[0],
+                                                  lane_errors)
+                            # a failed lane's later records are
+                            # unobservable (trace() raises)
+                            for k, error in sorted(lane_errors.items()):
+                                fail([sel3[k]], error)
                         nv = np.where(cd, cv, old_v)
                         nd = cd | old_d
                     nv = np.where(nd, nv, 0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.system import DataControlSystem
-from ..errors import DefinitionError, ValidationError
+from ..errors import ValidationError
 from ..semantics.environment import Environment
 from ..semantics.event_structure import (
     default_policy_sweep,
@@ -58,15 +58,11 @@ def _vector_policy_sweep():
 
 def _extract_vector(system: DataControlSystem, environment: Environment,
                     policy, *, max_steps: int):
-    """Event structure via the compiled vector engine (interpreter only as
-    an explicit fallback when the system is outside the vector envelope)."""
+    """Event structure via the compiled vector engine."""
     from ..semantics.simulator import Simulator
 
-    try:
-        simulator = Simulator(system, environment, policy, backend="vector")
-    except DefinitionError:
-        simulator = Simulator(system, environment, policy)
-    trace = simulator.run(max_steps=max_steps)
+    trace = Simulator(system, environment, policy,
+                      backend="vector").run(max_steps=max_steps)
     return event_structure_from_trace(system, trace)
 
 

@@ -23,8 +23,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DataControlSystem
+from repro.designs import ZOO
 from repro.datapath import (
     DataPath,
+    accumulator,
     input_pad,
     operator,
     output_pad,
@@ -37,6 +39,7 @@ from repro.semantics import (
     Lane,
     Simulator,
     VectorSimulator,
+    simulate,
     traces_equivalent,
 )
 
@@ -173,3 +176,70 @@ def test_div_int64_min_by_minus_one_raises():
     lanes = [Lane(Environment.of(x=[INT64_MIN], y=[-1])) for _ in range(8)]
     with pytest.raises(ExecutionError, match="64-bit"):
         VectorSimulator(system, mode="numpy").run(lanes, max_steps=50)
+
+
+# ---------------------------------------------------------------------------
+# lane isolation: one lane leaving int64 must not fail its siblings
+# ---------------------------------------------------------------------------
+def accumulator_system() -> DataControlSystem:
+    """Accumulate two input draws (``acc += x`` twice), then emit."""
+    dp = DataPath(name="acc_edge")
+    dp.add_vertex(input_pad("x"))
+    dp.add_vertex(accumulator("acc"))
+    dp.add_vertex(output_pad("out"))
+    dp.connect("x.out", "acc.d", name="a_x")
+    dp.connect("acc.q", "out.in", name="a_o")
+    net = PetriNet(name="acc_edge")
+    net.add_place("s_add1", marked=True)
+    net.add_place("s_add2")
+    net.add_place("s_emit")
+    chain(net, ["s_add1", "s_add2", "s_emit"])
+    net.add_transition("t_end")
+    net.add_arc("s_emit", "t_end")
+    system = DataControlSystem(dp, net, name="acc_edge")
+    system.set_control("s_add1", ["a_x"])
+    system.set_control("s_add2", ["a_x"])
+    system.set_control("s_emit", ["a_o"])
+    return system
+
+
+def _assert_only_lane_fails(system, sequences, bad):
+    """Lane ``bad`` fails with the 64-bit range error; every sibling
+    equals the reference interpreter's trace."""
+    result = VectorSimulator(system, mode="numpy").run(
+        [Lane(Environment(seq)) for seq in sequences], capture_errors=True)
+    assert "64-bit" in str(result.error(bad))
+    for i, seq in enumerate(sequences):
+        if i == bad:
+            continue
+        assert result.error(i) is None, f"lane {i} was poisoned"
+        assert result.trace(i) == simulate(system, Environment(seq),
+                                           fast=False), f"lane {i} diverged"
+
+
+def test_tape_overflow_fails_only_its_lane():
+    """isqrt's ``mid * mid`` on n = 2**62 + 5 leaves int64 in one lane;
+    the other lanes of the same plan group must run to completion."""
+    system = ZOO["isqrt"].build()
+    sequences = [{"n_in": [n]} for n in (0, 1, 2, 15, 16, 133, 1000,
+                                         99_999, 10**9)]
+    sequences.insert(4, {"n_in": [2**62 + 5]})
+    _assert_only_lane_fails(system, sequences, bad=4)
+
+
+def test_accumulator_overflow_fails_only_its_lane():
+    """``acc`` latching 2 * (2**62 + 1) overflows in one lane; capture
+    must record it on that lane instead of raising out of ``run``."""
+    sequences = [{"x": [v, v]} for v in (0, 1, -1, 7, 2**40, -2**40,
+                                         2**61, -2**61)]
+    sequences.insert(3, {"x": [2**62 + 1, 2**62 + 1]})
+    _assert_only_lane_fails(accumulator_system(), sequences, bad=3)
+
+
+@pytest.mark.parametrize("x", [[1 << 62, 1 << 62], [INT64_MIN, -1]])
+def test_accumulator_at_bound_raises_instead_of_wrapping(x):
+    """``acc`` guarded with ``> 2**62`` on ``np.abs``: 2**62 + 2**62 and
+    INT64_MIN - 1 wrapped silently instead of raising."""
+    lanes = [Lane(Environment({"x": list(x)})) for _ in range(8)]
+    with pytest.raises(ExecutionError, match="64-bit"):
+        VectorSimulator(accumulator_system(), mode="numpy").run(lanes)

@@ -9,7 +9,7 @@ from repro.runtime import (
     JobSpec,
     canonical_json,
     check_job,
-    equivalence_job,
+    equiv_job,
     execute_job,
     load_job_file,
     probe_job,
@@ -105,9 +105,12 @@ class TestInterpreter:
 
     def test_equivalence_payload(self, zoo):
         design, system = zoo["gcd"]
-        spec = equivalence_job(system, design.build(), design.environment())
+        spec = equiv_job(system, design.build(), design.environment(),
+                         backend="explicit")
         payload = execute_job(spec.to_dict())["payload"]
         assert payload["equivalent"] is True
+        assert payload["backend"] == "explicit"
+        assert payload["witness"] is None
 
     def test_synthesize_payload_round_trips_system(self, zoo):
         from repro.io import system_from_dict

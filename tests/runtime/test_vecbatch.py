@@ -1,11 +1,11 @@
-"""The ``vecbatch`` job kind: batched simulation/fault jobs.
+"""Multi-fault ``faults`` jobs: many fault experiments, one golden run.
 
-The contract: a vecbatch is a *batch of classic jobs*.  Its simulate
-payload carries one per-lane record shaped exactly like the
-``simulate`` kind's payload; its faults payload carries one entry per
-fault shaped exactly like the ``faults`` kind's payload, each stamped
-with the classic per-fault job key — so caches, journals, and campaign
-checkpoints interoperate across backends.
+The contract: a job carrying several faults is a *batch of one-fault
+jobs*.  Its payload carries one entry per fault, equal to the entry the
+same fault gets in a job of its own, and stamped with a per-fault key
+that depends on neither the backend nor how faults are grouped — so
+caches and campaign journals interoperate across backends and chunk
+sizes.
 """
 
 import pytest
@@ -13,55 +13,13 @@ import pytest
 from repro.designs import get_design
 from repro.errors import DefinitionError
 from repro.faults import FaultSpec, run_single_fault
-from repro.runtime import (
-    execute_job,
-    faults_job,
-    simulate_job,
-    vecbatch_faults_job,
-    vecbatch_simulate_job,
-)
+from repro.runtime import execute_job, faults_job
+from repro.runtime.jobs import fault_keys
 
 
 def _design(name):
     design = get_design(name)
     return design, design.build()
-
-
-class TestSimulateMode:
-    def test_lanes_match_classic_simulate_jobs(self):
-        design, system = _design("counter")
-        envs = [design.environment({"limit_in": [n]}) for n in (3, 5, 9)]
-        batch = vecbatch_simulate_job(system, envs, max_steps=200)
-        assert batch.kind == "vecbatch"
-        lanes = execute_job(batch.to_dict())["payload"]["lanes"]
-        assert len(lanes) == 3
-        for lane, env in zip(lanes, envs):
-            classic = execute_job(
-                simulate_job(system, env, max_steps=200).to_dict())
-            assert lane == classic["payload"]
-
-    def test_key_depends_on_environments(self):
-        design, system = _design("counter")
-        a = vecbatch_simulate_job(
-            system, [design.environment({"limit_in": [3]})])
-        b = vecbatch_simulate_job(
-            system, [design.environment({"limit_in": [4]})])
-        again = vecbatch_simulate_job(
-            system, [design.environment({"limit_in": [3]})])
-        assert a.key == again.key
-        assert a.key != b.key
-
-    def test_empty_batch(self):
-        _design_, system = _design("counter")
-        out = execute_job(vecbatch_simulate_job(system, []).to_dict())
-        assert out["payload"] == {"lanes": []}
-
-    def test_unknown_mode_rejected(self):
-        _design_, system = _design("counter")
-        spec = vecbatch_simulate_job(system, []).to_dict()
-        spec["params"]["mode"] = "sweep"
-        with pytest.raises(DefinitionError, match="unknown vecbatch mode"):
-            execute_job(spec)
 
 
 class TestFaultsMode:
@@ -72,17 +30,30 @@ class TestFaultsMode:
     ]
 
     def test_entries_match_classic_fault_jobs(self):
+        """Chunk entries equal the entries of one-fault jobs."""
         design, system = _design("gcd")
         env = design.environment()
-        batch = vecbatch_faults_job(system, self.FAULTS, env,
-                                    campaign_seed=3)
-        entries = execute_job(batch.to_dict())["payload"]["entries"]
-        assert len(entries) == len(self.FAULTS)
-        for entry, fault in zip(entries, self.FAULTS):
-            classic = faults_job(system, fault, env, campaign_seed=3)
-            assert entry["key"] == classic.key
-            outcome = execute_job(classic.to_dict())
-            assert entry == dict(outcome["payload"], key=classic.key)
+        singles = [execute_job(faults_job(system, [fault], env,
+                                          campaign_seed=3).to_dict())
+                   for fault in self.FAULTS]
+        for backend in ("interpreter", "vector"):
+            chunk = faults_job(system, self.FAULTS, env, campaign_seed=3,
+                               backend=backend)
+            entries = execute_job(chunk.to_dict())["payload"]["entries"]
+            assert entries == [entry for single in singles
+                               for entry in single["payload"]["entries"]]
+
+    def test_keys_ignore_backend_and_grouping(self):
+        design, system = _design("gcd")
+        env = design.environment()
+        jobs = [faults_job(system, self.FAULTS, env, backend=backend)
+                for backend in ("interpreter", "vector")]
+        assert jobs[0].key != jobs[1].key  # distinct cached results...
+        keys = fault_keys(jobs[0].system, jobs[0].params)
+        assert keys == fault_keys(jobs[1].system, jobs[1].params)
+        singles = [faults_job(system, [fault], env) for fault in self.FAULTS]
+        assert keys == [fault_keys(job.system, job.params)[0]
+                        for job in singles]  # ...the same fault keys
 
     def test_golden_handoff_does_not_change_payload(self):
         """_golden is pure memoization: same payload with or without."""
@@ -90,20 +61,25 @@ class TestFaultsMode:
         env = design.environment()
         direct = run_single_fault(system, self.FAULTS[0], env,
                                   campaign_seed=3)
-        batch = vecbatch_faults_job(system, self.FAULTS[:1], env,
-                                    campaign_seed=3)
-        entry = execute_job(batch.to_dict())["payload"]["entries"][0]
-        assert {k: v for k, v in entry.items() if k != "key"} == direct
+        for backend in ("interpreter", "vector"):
+            job = faults_job(system, self.FAULTS[:1], env, campaign_seed=3,
+                             backend=backend)
+            (entry,) = execute_job(job.to_dict())["payload"]["entries"]
+            assert {k: v for k, v in entry.items() if k != "key"} == direct
 
     def test_invalid_fault_rejected_at_submission(self):
         design, system = _design("gcd")
-        with pytest.raises(Exception):
-            vecbatch_faults_job(
-                system, [FaultSpec("token_loss", "no_such_place")],
-                design.environment())
+        with pytest.raises(DefinitionError):
+            faults_job(system, [FaultSpec("token_loss", "no_such_place")],
+                       design.environment())
+        with pytest.raises(DefinitionError, match="unknown faults backend"):
+            faults_job(system, self.FAULTS, design.environment(),
+                       backend="cuda")
 
     def test_label_defaults_to_size(self):
         design, system = _design("gcd")
-        job = vecbatch_faults_job(system, self.FAULTS,
-                                  design.environment())
+        job = faults_job(system, self.FAULTS, design.environment())
         assert "3 faults" in job.label
+        single = faults_job(system, self.FAULTS[:1], design.environment())
+        assert single.label == self.FAULTS[0].describe()
+

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datapath import Operation, OpKind, Vertex
 from repro.designs import all_designs, get_design
 from repro.errors import DefinitionError, ExecutionError
 from repro.semantics import (
+    Checkpoint,
     Environment,
     FixedOrderPolicy,
     Lane,
@@ -22,7 +24,6 @@ from repro.semantics import (
     SeededMaximalPolicy,
     SequentialPolicy,
     Simulator,
-    VectorCheckpoint,
     VectorSimulator,
     compile_system,
     simulate,
@@ -123,7 +124,7 @@ class TestCheckpoints:
 
         vsim = VectorSimulator(system, strict=False)
         got = vsim.run([Lane(env_factory())], max_steps=500,
-                       on_limit="return", from_checkpoint=cp).trace(0)
+                       on_limit="return", from_checkpoint=(cp,)).trace(0)
         assert traces_equivalent(got, ref)
 
     def test_resume_interpreter_checkpoint(self, zoo):
@@ -140,7 +141,8 @@ class TestCheckpoints:
         vsim = VectorSimulator(system, mode="scalar")
         vsim.run(lanes(), max_steps=4, on_limit="return")
         cp = vsim.checkpoint()
-        assert isinstance(cp, VectorCheckpoint)
+        assert len(cp) == len(limits)
+        assert all(isinstance(lane_cp, Checkpoint) for lane_cp in cp)
         resumed = vsim.run(lanes(), max_steps=500, on_limit="return",
                            from_checkpoint=cp)
         for i, n in enumerate(limits):
@@ -159,7 +161,7 @@ class TestCheckpoints:
         vsim = VectorSimulator(system, mode="scalar")
         vsim.run([Lane(design.environment({"limit_in": [8]}))],
                  max_steps=4, on_limit="return")
-        lane_cp = vsim.checkpoint().lane(0)
+        (lane_cp,) = vsim.checkpoint()
         got = Simulator(system,
                         design.environment({"limit_in": [8]})).run(
                             max_steps=500, from_checkpoint=lane_cp)
@@ -227,6 +229,27 @@ class TestValidationAndErrors:
             got = simulate(system, Environment.of(x=[x]), max_steps=500,
                            backend="vector")
             assert traces_equivalent(got, ref)
+
+    def test_missing_value_function_raises_like_interpreter(self):
+        """The compiled engines' run-time DefinitionError is the one
+        Operation.evaluate raises, so no caller needs an interpreter
+        fallback for it."""
+        system = relay_system()
+        dp = system.datapath
+        dp.add_vertex(Vertex("f", ("i",), ("o",),
+                             {"o": Operation("opaque", OpKind.COM, 1)}))
+        dp.connect("r.q", "f.i", name="a_f")
+        system.set_control("s_write", ["a_out", "a_f"])
+        messages = set()
+        for backend in ("interpreter", "vector"):
+            with pytest.raises(DefinitionError) as info:
+                simulate(system, Environment.of(x=[1]), backend=backend)
+            messages.add(str(info.value))
+        with pytest.raises(DefinitionError) as info:
+            VectorSimulator(system, mode="numpy").run(
+                [Lane(Environment.of(x=[1])) for _ in range(8)])
+        messages.add(str(info.value))
+        assert messages == {"operation 'opaque' has no value function"}
 
     def test_limit_exhaustion_raises_like_interpreter(self):
         design = get_design("counter")

@@ -75,7 +75,10 @@ def _run_instruction(op, lanes):
                 values[k, j] = lane[k]
                 defined[k, j] = True
     instr = _vector_instruction(op, arity, tuple(range(arity)))
-    instr(values, defined, np.arange(n))
+    lane_errors = {}
+    instr(values, defined, np.arange(n), lane_errors)
+    if lane_errors:  # the engine fails these lanes; surface the first
+        raise lane_errors[min(lane_errors)]
     return values[arity], defined[arity]
 
 
