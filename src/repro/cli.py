@@ -813,10 +813,6 @@ def _fuzz_report_text(report) -> list[str]:
         + (" (truncated by --time-budget)" if report.truncated else ""),
         f"  divergences   {sum(report.buckets.values())} "
         f"({len(report.buckets)} bucket(s))",
-        f"  explained     "
-        + (", ".join(f"{k}={v}"
-                     for k, v in sorted(report.explained.items()))
-           or "none"),
         f"  skipped       "
         + (", ".join(f"{k}={v}" for k, v in sorted(report.skipped.items()))
            or "none"),

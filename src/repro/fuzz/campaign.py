@@ -8,7 +8,7 @@ minimal repro, and buckets results by fingerprint.
 
 The resulting :class:`FuzzReport` separates the **deterministic
 payload** (cases run, divergence records with shrunk repros, bucket and
-explained/skip counters — a pure function of the config) from
+skip counters — a pure function of the config) from
 **wall-clock metrics** (elapsed seconds, cases per second).  The ``fuzz``
 job kind caches only the payload, which is what makes fuzz campaigns
 content-addressable: same seed, same verdicts, same fingerprints,
@@ -86,7 +86,6 @@ class FuzzReport:
     truncated: bool = False
     divergences: list[dict[str, Any]] = field(default_factory=list)
     buckets: dict[str, int] = field(default_factory=dict)
-    explained: dict[str, int] = field(default_factory=dict)
     skipped: dict[str, int] = field(default_factory=dict)
     shrink_steps: int = 0
     elapsed_seconds: float = 0.0
@@ -111,7 +110,6 @@ class FuzzReport:
                 self.divergences,
                 key=lambda d: (d["fingerprint"], d["seed"])),
             "buckets": dict(sorted(self.buckets.items())),
-            "explained": dict(sorted(self.explained.items())),
             "skipped": dict(sorted(self.skipped.items())),
             "shrink_steps": self.shrink_steps,
         }
@@ -210,8 +208,6 @@ def run_fuzz(config: FuzzConfig | None = None, *,
             analysis_place_limit=config.analysis_place_limit,
             max_markings=config.max_markings)
         report.cases_run += 1
-        for name in oracle_report.explained:
-            report.explained[name] = report.explained.get(name, 0) + 1
         for name in oracle_report.skipped:
             report.skipped[name] = report.skipped.get(name, 0) + 1
         for divergence in oracle_report.divergences:

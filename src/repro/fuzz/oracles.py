@@ -6,7 +6,8 @@ a :class:`Divergence`:
 
 ``trace``
     interpreter fast path vs naive evaluator vs vector backend (scalar
-    and numpy engines): traces must be observationally equal
+    and numpy engines, reached by batch size): traces must be
+    observationally equal
     (:func:`~repro.semantics.profile.traces_equivalent`) or fail with
     the same structured error class/kind.
 ``analysis``
@@ -17,10 +18,10 @@ a :class:`Divergence`:
     vs the runtime monitor stack: a runtime RT001–RT004 finding on a
     system the static side called proper is a bug in one of the two.
 
-Known, *documented* asymmetries are classified as explained (not
-divergences): the numpy engine's 64-bit storage limit raises a
-structured :class:`~repro.errors.ExecutionError` on values the
-big-integer interpreter computes exactly (see ``semantics/vector.py``).
+There is no allowlist of tolerated asymmetries: every engine computes
+over unbounded integers (a numpy lane that cannot be held in int64
+reruns exactly on the scalar engine), so every disagreement is a
+divergence.
 
 Divergences carry a stable ``fingerprint`` — the hash of the (oracle,
 kind, detail key) triple — used for triage bucketing and as the shrink
@@ -41,8 +42,9 @@ from .generate import FuzzCase
 #: Oracle names accepted by :func:`run_oracles`.
 ORACLES = ("trace", "analysis", "monitor")
 
-#: Message marker of the numpy engine's documented 64-bit storage limit.
-_NUMPY_RANGE_MARKER = "64-bit range"
+#: Fresh batches of this many lanes run on the numpy engine; fewer run
+#: on the scalar engine (see ``VectorSimulator``).
+_NUMPY_LANES = 8
 
 #: Runtime monitor family -> static rules that must have flagged it.
 _RUNTIME_TO_STATIC = {
@@ -97,7 +99,6 @@ class OracleReport:
     """Everything the oracles observed about one case."""
 
     divergences: list[Divergence] = field(default_factory=list)
-    explained: list[str] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
 
 
@@ -132,13 +133,17 @@ def _divergence(case: FuzzCase, oracle: str, kind: str, detail: str,
 # ---------------------------------------------------------------------------
 # trace oracle
 # ---------------------------------------------------------------------------
+def _error_outcome(error: ReproError):
+    kind = error.kind if isinstance(error, RuntimeFaultError) else ""
+    return ("error", type(error).__name__, kind, str(error))
+
+
 def _outcome(run: Callable[[], Any]):
     """("ok", trace) or ("error", class name, fault kind, message)."""
     try:
         return ("ok", run())
     except ReproError as error:
-        kind = error.kind if isinstance(error, RuntimeFaultError) else ""
-        return ("error", type(error).__name__, kind, str(error))
+        return _error_outcome(error)
 
 
 def _outcome_key(outcome) -> str:
@@ -159,11 +164,6 @@ def _outcomes_match(reference, other) -> bool:
     return reference[1] == other[1] and reference[2] == other[2]
 
 
-def _is_numpy_range_limit(outcome) -> bool:
-    return (outcome[0] == "error" and outcome[1] == "ExecutionError"
-            and _NUMPY_RANGE_MARKER in outcome[3])
-
-
 def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
     """Interpreter (fast + naive) vs vector backend (scalar + numpy)."""
     from ..semantics.simulator import simulate
@@ -176,47 +176,38 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
         return simulate(system, env.fork(), strict=strict, fast=fast,
                         max_steps=max_steps, on_limit="return")
 
-    def vector(mode: str):
-        sim = VectorSimulator(system, strict=strict, mode=mode)
-        result = sim.run([Lane(env.fork())], max_steps=max_steps,
-                         on_limit="return")
+    def vector(lanes: int):
+        """Lane 0 of ``lanes`` identical lanes (the count picks the
+        engine)."""
+        sim = VectorSimulator(system, strict=strict)
+        result = sim.run([Lane(env.fork()) for _ in range(lanes)],
+                         max_steps=max_steps, on_limit="return")
         return result.trace(0)
 
-    def vector_captured(mode: str):
-        """Per-lane outcomes of a 3-lane capture_errors batch.
+    def vector_captured(lanes: int):
+        """Per-lane outcomes of a ``capture_errors`` batch of identical
+        lanes.
 
         ``capture_errors=True`` promises that a failing lane is recorded
         — never raised — and that siblings are unaffected, so every lane
-        of an identical triple must reproduce the reference outcome.
+        must reproduce the reference outcome.
         """
-        sim = VectorSimulator(system, strict=strict, mode=mode)
-        result = sim.run([Lane(env.fork()) for _ in range(3)],
+        sim = VectorSimulator(system, strict=strict)
+        result = sim.run([Lane(env.fork()) for _ in range(lanes)],
                          max_steps=max_steps, on_limit="return",
                          capture_errors=True)
-        outcomes = []
-        for i in range(3):
-            error = result.error(i)
-            if error is None:
-                outcomes.append(("ok", result.trace(i)))
-            else:
-                fault = (error.kind
-                         if isinstance(error, RuntimeFaultError) else "")
-                outcomes.append(("error", type(error).__name__, fault,
-                                 str(error)))
-        return outcomes
+        return [("ok", result.trace(i)) if result.error(i) is None
+                else _error_outcome(result.error(i)) for i in range(lanes)]
 
     reference = _outcome(lambda: interp(True))
     checks = (
         ("fast_naive_mismatch", lambda: interp(False)),
-        ("vector_scalar_mismatch", lambda: vector("scalar")),
-        ("vector_numpy_mismatch", lambda: vector("numpy")),
+        ("vector_scalar_mismatch", lambda: vector(1)),
+        ("vector_numpy_mismatch", lambda: vector(_NUMPY_LANES)),
     )
     for kind, run in checks:
         other = _outcome(run)
         if _outcomes_match(reference, other):
-            continue
-        if kind == "vector_numpy_mismatch" and _is_numpy_range_limit(other):
-            report.explained.append("numpy_range_limit")
             continue
         detail_key = f"{_outcome_key(reference)} vs {_outcome_key(other)}"
         report.divergences.append(_divergence(
@@ -225,10 +216,10 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
             f"candidate: {_outcome_key(other)}",
             detail_key, strict=strict, max_steps=max_steps))
 
-    for kind, mode in (("capture_scalar_mismatch", "scalar"),
-                       ("capture_numpy_mismatch", "numpy")):
+    for kind, lanes in (("capture_scalar_mismatch", 3),
+                        ("capture_numpy_mismatch", _NUMPY_LANES)):
         try:
-            lane_outcomes = vector_captured(mode)
+            lane_outcomes = vector_captured(lanes)
         except ReproError as error:
             report.divergences.append(_divergence(
                 case, "trace", kind,
@@ -238,9 +229,6 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
             continue
         for lane, other in enumerate(lane_outcomes):
             if _outcomes_match(reference, other):
-                continue
-            if mode == "numpy" and _is_numpy_range_limit(other):
-                report.explained.append("numpy_range_limit")
                 continue
             detail_key = (f"lane {_outcome_key(reference)} vs "
                           f"{_outcome_key(other)}")
@@ -445,6 +433,5 @@ def run_oracles(case: FuzzCase, *, oracles=ORACLES, max_steps: int = 256,
                 continue
             part = monitor_oracle(case, max_steps=max_steps)
         merged.divergences.extend(part.divergences)
-        merged.explained.extend(part.explained)
         merged.skipped.extend(part.skipped)
     return merged

@@ -40,7 +40,7 @@ JOB_KINDS = ("simulate", "check", "reachability", "equiv", "synthesize",
 #: Bumped whenever the payload format of any kind changes, so stale
 #: cache entries from an older engine can never be confused for current
 #: results (the version participates in every job key).
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 
 JOB_FILE_FORMAT = 1
 

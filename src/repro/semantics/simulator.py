@@ -232,8 +232,8 @@ class Simulator:
     backend:
         ``"interpreter"`` (default) runs the step loop here;
         ``"vector"`` compiles the system once and delegates to
-        :class:`repro.semantics.vector.VectorSimulator` (single-lane
-        batch, scalar engine) — byte-identical traces, typically an
+        :class:`repro.semantics.vector.VectorSimulator` (a one-lane
+        batch, so the scalar engine) — byte-identical traces, typically an
         order of magnitude faster on loop-heavy designs.  The vector
         backend supports no hooks and only the maximal-step,
         sequential, and seeded-maximal policies.
@@ -755,8 +755,7 @@ class Simulator:
         from .vector import Lane, VectorSimulator
         if self._vector_sim is None:
             self._vector_sim = VectorSimulator(self.system,
-                                               strict=self.strict,
-                                               mode="scalar")
+                                               strict=self.strict)
         result = self._vector_sim.run(
             [Lane(self.environment, self.policy)], max_steps=max_steps,
             on_limit=on_limit,

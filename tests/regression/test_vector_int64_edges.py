@@ -12,10 +12,11 @@ Shrunk from differential sweeps against the interpreter:
   float-rounded, so the engine must fall back to the interpreter's own
   value function rather than computing the exact quotient.
 
-Every case runs >= 8 lanes so :class:`VectorSimulator` auto-selects the
+Every case runs >= 8 lanes so :class:`VectorSimulator` selects the
 numpy engine, and asserts byte-identical traces against the interpreter
-— or the documented ``ExecutionError`` when a result cannot be stored
-in the 64-bit register file (the module contract: raise, never wrap).
+on every lane — a lane whose values cannot be held in the 64-bit
+register file included: it reruns on the scalar engine (the module
+contract: exact, never wrapped, never refused).
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from repro.datapath import (
     output_pad,
     register,
 )
-from repro.errors import ExecutionError
 from repro.petri import PetriNet, chain
 from repro.semantics import (
     Environment,
     Lane,
+    SeededMaximalPolicy,
     Simulator,
     VectorSimulator,
     simulate,
@@ -93,18 +94,17 @@ def unop_system(op_name: str) -> DataControlSystem:
     return system
 
 
-def _assert_numpy_parity(system, env_kwargs):
-    """>= 8 lanes through the numpy engine, byte-identical per lane.
-
-    ``env_kwargs`` are keyword dicts for ``Environment.of`` — draws
-    consume the environment, so each run needs a fresh instance.
-    """
-    assert len(env_kwargs) >= 8, "need >= 8 lanes to pin the numpy engine"
-    result = VectorSimulator(system, mode="numpy").run(
-        [Lane(Environment.of(**kw)) for kw in env_kwargs], max_steps=50)
-    for i, kw in enumerate(env_kwargs):
-        ref = Simulator(system, Environment.of(**kw)).run(max_steps=50)
-        assert traces_equivalent(result.trace(i), ref), f"lane {i} diverged"
+def _assert_every_lane_exact(system, sequences, **run_kwargs):
+    """Every lane, boundary lanes included, equals the reference
+    interpreter's trace; returns the batch result."""
+    assert len(sequences) >= 8, "need >= 8 lanes to pin the numpy engine"
+    result = VectorSimulator(system).run(
+        [Lane(Environment(seq)) for seq in sequences], **run_kwargs)
+    for i, seq in enumerate(sequences):
+        assert result.error(i) is None, f"lane {i} failed"
+        assert result.trace(i) == simulate(system, Environment(seq),
+                                           fast=False), f"lane {i} diverged"
+    return result
 
 
 MIXED_SIGN_PAIRS = [
@@ -117,7 +117,7 @@ MIXED_SIGN_PAIRS = [
 @pytest.mark.parametrize("op_name", ["mod", "div"])
 def test_mixed_sign_divmod_numpy_parity(op_name):
     system = binop_system(op_name)
-    _assert_numpy_parity(
+    _assert_every_lane_exact(
         system, [dict(x=[a], y=[b]) for a, b in MIXED_SIGN_PAIRS])
 
 
@@ -130,7 +130,7 @@ def test_div_above_float_exact_bound_falls_back_to_interpreter_value():
              (INT64_MIN, -1), (INT64_MIN + 1, -1)]
     # mod(INT64_MIN, -1) == 0 and div(INT64_MIN + 1, -1) == INT64_MAX
     # are storable, so they must round-trip exactly, not error.
-    _assert_numpy_parity(
+    _assert_every_lane_exact(
         binop_system("mod"), [dict(x=[a], y=[b]) for a, b in pairs])
 
 
@@ -139,47 +139,40 @@ def test_add_just_below_bound_numpy_parity():
     top = (1 << 62) - 1
     pairs = [(top, -top), (-top, top), (top, 0), (0, -top),
              (top, -1), (-top, 1), (top // 2, top // 2), (-top, -1)]
-    _assert_numpy_parity(
+    _assert_every_lane_exact(
         binop_system("add"), [dict(x=[a], y=[b]) for a, b in pairs])
 
 
-def test_add_at_bound_raises_instead_of_wrapping():
-    """2**62 + 2**62 == 2**63 does not fit int64: the engine must raise
-    the documented ExecutionError, never silently wrap to INT64_MIN."""
-    system = binop_system("add")
-    lanes = [Lane(Environment.of(x=[1 << 62], y=[1 << 62]))
-             for _ in range(8)]
-    with pytest.raises(ExecutionError, match="64-bit"):
-        VectorSimulator(system, mode="numpy").run(lanes, max_steps=50)
+def test_add_at_bound_is_exact_not_wrapped():
+    """2**62 + 2**62 == 2**63 does not fit int64: every lane must carry
+    the interpreter's bignum, never a value wrapped to INT64_MIN."""
+    _assert_every_lane_exact(binop_system("add"),
+                             [dict(x=[1 << 62], y=[1 << 62])] * 8)
 
 
 @pytest.mark.parametrize("op_name", ["neg", "abs"])
-def test_unary_int64_min_raises_instead_of_wrapping(op_name):
+def test_unary_int64_min_is_exact_not_wrapped(op_name):
     """|INT64_MIN| == 2**63 does not fit; np.abs-based guards wrapped."""
-    system = unop_system(op_name)
-    lanes = [Lane(Environment.of(x=[INT64_MIN])) for _ in range(8)]
-    with pytest.raises(ExecutionError, match="64-bit"):
-        VectorSimulator(system, mode="numpy").run(lanes, max_steps=50)
+    _assert_every_lane_exact(unop_system(op_name), [dict(x=[INT64_MIN])] * 8)
 
 
 def test_unary_near_int64_min_numpy_parity():
     values = [INT64_MIN + 1, -(1 << 62), (1 << 62) - 1, -1, 0, 1,
               INT64_MIN + 2, (1 << 63) - 1]
     for op_name in ("neg", "abs"):
-        _assert_numpy_parity(
+        _assert_every_lane_exact(
             unop_system(op_name), [dict(x=[v]) for v in values])
 
 
-def test_div_int64_min_by_minus_one_raises():
-    """INT64_MIN / -1 == 2**63: overflow must raise, not wrap to itself."""
-    system = binop_system("div")
-    lanes = [Lane(Environment.of(x=[INT64_MIN], y=[-1])) for _ in range(8)]
-    with pytest.raises(ExecutionError, match="64-bit"):
-        VectorSimulator(system, mode="numpy").run(lanes, max_steps=50)
+def test_div_int64_min_by_minus_one_is_exact():
+    """INT64_MIN / -1 == 2**63: the quotient must be exact, not wrapped
+    to INT64_MIN itself."""
+    _assert_every_lane_exact(binop_system("div"),
+                             [dict(x=[INT64_MIN], y=[-1])] * 8)
 
 
 # ---------------------------------------------------------------------------
-# lane isolation: one lane leaving int64 must not fail its siblings
+# lane isolation: one lane leaving int64 reruns alone, siblings stay numpy
 # ---------------------------------------------------------------------------
 def accumulator_system() -> DataControlSystem:
     """Accumulate two input draws (``acc += x`` twice), then emit."""
@@ -203,43 +196,119 @@ def accumulator_system() -> DataControlSystem:
     return system
 
 
-def _assert_only_lane_fails(system, sequences, bad):
-    """Lane ``bad`` fails with the 64-bit range error; every sibling
-    equals the reference interpreter's trace."""
-    result = VectorSimulator(system, mode="numpy").run(
-        [Lane(Environment(seq)) for seq in sequences], capture_errors=True)
-    assert "64-bit" in str(result.error(bad))
-    for i, seq in enumerate(sequences):
-        if i == bad:
-            continue
-        assert result.error(i) is None, f"lane {i} was poisoned"
-        assert result.trace(i) == simulate(system, Environment(seq),
-                                           fast=False), f"lane {i} diverged"
-
-
-def test_tape_overflow_fails_only_its_lane():
+def test_tape_overflow_reruns_only_its_lane_exactly():
     """isqrt's ``mid * mid`` on n = 2**62 + 5 leaves int64 in one lane;
-    the other lanes of the same plan group must run to completion."""
+    that lane reruns exactly and the other lanes of the same plan group
+    run to completion."""
     system = ZOO["isqrt"].build()
     sequences = [{"n_in": [n]} for n in (0, 1, 2, 15, 16, 133, 1000,
                                          99_999, 10**9)]
     sequences.insert(4, {"n_in": [2**62 + 5]})
-    _assert_only_lane_fails(system, sequences, bad=4)
+    _assert_every_lane_exact(system, sequences, capture_errors=True)
 
 
-def test_accumulator_overflow_fails_only_its_lane():
-    """``acc`` latching 2 * (2**62 + 1) overflows in one lane; capture
-    must record it on that lane instead of raising out of ``run``."""
+def test_accumulator_overflow_reruns_only_its_lane_exactly():
+    """``acc`` latching 2 * (2**62 + 1) leaves int64 in one lane; that
+    lane must carry the interpreter's bignum, its siblings unaffected."""
     sequences = [{"x": [v, v]} for v in (0, 1, -1, 7, 2**40, -2**40,
                                          2**61, -2**61)]
     sequences.insert(3, {"x": [2**62 + 1, 2**62 + 1]})
-    _assert_only_lane_fails(accumulator_system(), sequences, bad=3)
+    _assert_every_lane_exact(accumulator_system(), sequences,
+                             capture_errors=True)
 
 
 @pytest.mark.parametrize("x", [[1 << 62, 1 << 62], [INT64_MIN, -1]])
-def test_accumulator_at_bound_raises_instead_of_wrapping(x):
+def test_accumulator_at_bound_is_exact_not_wrapped(x):
     """``acc`` guarded with ``> 2**62`` on ``np.abs``: 2**62 + 2**62 and
-    INT64_MIN - 1 wrapped silently instead of raising."""
-    lanes = [Lane(Environment({"x": list(x)})) for _ in range(8)]
-    with pytest.raises(ExecutionError, match="64-bit"):
-        VectorSimulator(accumulator_system(), mode="numpy").run(lanes)
+    INT64_MIN - 1 wrapped silently; they must be exact bignums."""
+    _assert_every_lane_exact(accumulator_system(), [{"x": list(x)}] * 8)
+
+
+# ---------------------------------------------------------------------------
+# demotion: a numpy lane that leaves int64 reruns exactly on the scalar engine
+# ---------------------------------------------------------------------------
+def wide_register_system() -> DataControlSystem:
+    """Emit a register initialised past int64, then read into it."""
+    dp = DataPath(name="wide_init")
+    dp.add_vertex(input_pad("x"))
+    dp.add_vertex(register("r", init=2**70))
+    dp.add_vertex(output_pad("out"))
+    dp.connect("r.q", "out.in", name="a_o")
+    dp.connect("x.out", "r.d", name="a_x")
+    net = PetriNet(name="wide_init")
+    net.add_place("s_emit", marked=True)
+    net.add_place("s_read")
+    chain(net, ["s_emit", "s_read"])
+    net.add_transition("t_end")
+    net.add_arc("s_read", "t_end")
+    system = DataControlSystem(dp, net, name="wide_init")
+    system.set_control("s_emit", ["a_o"])
+    system.set_control("s_read", ["a_x"])
+    return system
+
+
+def test_register_init_past_int64_stays_inside_capture_errors():
+    """The initial register image was stored before any lane could fail,
+    so ``2**70`` raised out of ``run`` despite ``capture_errors=True``."""
+    result = _assert_every_lane_exact(
+        wide_register_system(), [{"x": [k]} for k in range(8)],
+        capture_errors=True)
+    assert result.trace(0).events[0].value == 2**70
+
+
+def test_draw_past_int64_on_one_lane_of_nine():
+    """An environment draw the register file cannot hold demotes only
+    the lane that drew it."""
+    sequences = [{"x": [v, 1]} for v in (0, 1, -1, 7, 2**40, -2**40,
+                                         2**61, -2**61)]
+    sequences.insert(5, {"x": [2**70, 1]})
+    _assert_every_lane_exact(accumulator_system(), sequences,
+                             capture_errors=True)
+
+
+def test_seeded_boundary_lane_restores_its_rng():
+    """Each step's seeded choice between two transitions consumes the
+    lane's policy RNG before ``acc`` leaves int64; the rerun must start
+    from the pre-run RNG state to make the interpreter's choices."""
+    system = accumulator_system()
+    system.net.add_transition("t_alt")
+    system.net.add_arc("s_add1", "t_alt")
+    system.net.add_arc("t_alt", "s_add2")
+    wide = [2**62 + 1, 2**62 + 1]
+    lanes = [([v, v], seed) for seed, v in enumerate((0, 1, -1, 7, 9))]
+    lanes += [(wide, seed) for seed in range(5, 9)]
+    result = VectorSimulator(system, strict=False).run(
+        [Lane(Environment({"x": x}), SeededMaximalPolicy(seed))
+         for x, seed in lanes])
+    for i, (x, seed) in enumerate(lanes):
+        ref = simulate(system, Environment({"x": x}), strict=False,
+                       policy=SeededMaximalPolicy(seed), fast=False)
+        assert result.trace(i) == ref, f"lane {i} diverged"
+
+
+def test_demoted_lane_checkpoint_resumes_to_the_reference():
+    system = ZOO["isqrt"].build()
+    ns = [0, 1, 2, 15, 2**62 + 5, 16, 133, 1000]
+    budget = 100
+    vsim = VectorSimulator(system)
+    vsim.run([Lane(Environment({"n_in": [n]})) for n in ns],
+             max_steps=budget, on_limit="return")
+    lane_cp = vsim.checkpoint()[4]
+    assert lane_cp.step == budget
+    got = Simulator(system, Environment({"n_in": [2**62 + 5]})).run(
+        max_steps=10_000, from_checkpoint=lane_cp)
+    interp = Simulator(system, Environment({"n_in": [2**62 + 5]}))
+    interp.run(max_steps=budget, on_limit="return")
+    ref = interp.run(max_steps=10_000, from_checkpoint=interp.checkpoint())
+    assert traces_equivalent(got, ref)
+    whole = simulate(system, Environment({"n_in": [2**62 + 5]}),
+                     fast=False)
+    assert got.final_state == whole.final_state
+    assert got.step_count == whole.step_count
+
+
+def test_boundary_lane_returns_without_capture_errors():
+    """A lane past int64 is not an error: ``run`` must return."""
+    sequences = [{"n_in": [n]} for n in (0, 1, 2, 15, 16, 133, 1000,
+                                         2**62 + 5)]
+    _assert_every_lane_exact(ZOO["isqrt"].build(), sequences)

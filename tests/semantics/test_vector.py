@@ -1,10 +1,11 @@
 """The compiled vector backend: byte-identity with the interpreter.
 
 The contract under test (see :mod:`repro.semantics.vector`): compiling
-a system once and advancing lanes in batch — with either the scalar or
-the numpy engine — must reproduce the interpreter's traces exactly, on
-every zoo design, under every supported policy, through checkpoints,
-and in every degenerate shape (empty batch, single lane).
+a system once and advancing lanes in batch — on the scalar engine
+(fewer than 8 lanes) or the numpy engine (8 or more) — must reproduce
+the interpreter's traces exactly, on every zoo design, under every
+supported policy, through checkpoints, and in every degenerate shape
+(empty batch, single lane).
 """
 
 from __future__ import annotations
@@ -48,23 +49,26 @@ def _interpreter(system, env, policy):
 
 
 class TestZooParity:
-    @pytest.mark.parametrize("mode", ["scalar", "numpy"])
+    @pytest.mark.parametrize("lanes", [1, 8], ids=["scalar", "numpy"])
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("name", DESIGNS)
-    def test_byte_identical_trace(self, zoo, name, policy, mode):
+    def test_byte_identical_trace(self, zoo, name, policy, lanes):
+        """The lane count picks the engine; every lane must match."""
         design, system = zoo[name]
         mk = POLICIES[policy]
         ref, ref_err = _interpreter(system, design.environment(), mk())
-        vsim = VectorSimulator(system, strict=False, mode=mode)
+        vsim = VectorSimulator(system, strict=False)
         try:
-            got = vsim.run([Lane(design.environment(), mk())],
-                           max_steps=500, on_limit="return").trace(0)
+            result = vsim.run(
+                [Lane(design.environment(), mk()) for _ in range(lanes)],
+                max_steps=500, on_limit="return")
+            got = [result.trace(i) for i in range(lanes)]
             got_err = None
         except Exception as error:
             got, got_err = None, f"{type(error).__name__}: {error}"
         assert got_err == ref_err
         if ref is not None:
-            assert traces_equivalent(got, ref)
+            assert all(traces_equivalent(trace, ref) for trace in got)
 
 
 class TestBatchShapes:
@@ -138,7 +142,7 @@ class TestCheckpoints:
         limits = [6, 9, 12]
         lanes = lambda: [Lane(design.environment({"limit_in": [n]}))
                          for n in limits]
-        vsim = VectorSimulator(system, mode="scalar")
+        vsim = VectorSimulator(system)
         vsim.run(lanes(), max_steps=4, on_limit="return")
         cp = vsim.checkpoint()
         assert len(cp) == len(limits)
@@ -158,7 +162,7 @@ class TestCheckpoints:
         """Per-lane entries are plain interpreter checkpoints."""
         design = get_design("counter")
         system = design.build()
-        vsim = VectorSimulator(system, mode="scalar")
+        vsim = VectorSimulator(system)
         vsim.run([Lane(design.environment({"limit_in": [8]}))],
                  max_steps=4, on_limit="return")
         (lane_cp,) = vsim.checkpoint()
@@ -174,7 +178,7 @@ class TestCheckpoints:
     def test_lane_count_mismatch(self):
         design = get_design("counter")
         system = design.build()
-        vsim = VectorSimulator(system, mode="scalar")
+        vsim = VectorSimulator(system)
         vsim.run([Lane(design.environment())], max_steps=3,
                  on_limit="return")
         cp = vsim.checkpoint()
@@ -191,10 +195,6 @@ class TestValidationAndErrors:
         with pytest.raises(DefinitionError, match="polic"):
             VectorSimulator(relay_system()).run(
                 [Lane(Environment.of(x=[1]), FixedOrderPolicy(()))])
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            VectorSimulator(relay_system(), mode="fast")
 
     def test_run_validation_matches_interpreter(self):
         vsim = VectorSimulator(relay_system())
@@ -246,7 +246,7 @@ class TestValidationAndErrors:
                 simulate(system, Environment.of(x=[1]), backend=backend)
             messages.add(str(info.value))
         with pytest.raises(DefinitionError) as info:
-            VectorSimulator(system, mode="numpy").run(
+            VectorSimulator(system).run(
                 [Lane(Environment.of(x=[1])) for _ in range(8)])
         messages.add(str(info.value))
         assert messages == {"operation 'opaque' has no value function"}
@@ -263,7 +263,7 @@ class TestValidationAndErrors:
         design = get_design("counter")
         system = design.build()
         good = design.environment({"limit_in": [3]})
-        result = VectorSimulator(system, mode="scalar").run(
+        result = VectorSimulator(system).run(
             [Lane(good), Lane(design.environment({"limit_in": [50]}))],
             max_steps=20, capture_errors=True)
         assert result.error(0) is None

@@ -1,5 +1,9 @@
 """``capture_errors`` parity on improper nets: same error class as the
-interpreter, sibling lanes unpoisoned."""
+interpreter, sibling lanes unpoisoned.
+
+Each test runs on both engines; the lane count picks the engine (fewer
+than 8 lanes run on the scalar engine, 8 or more on the numpy engine).
+"""
 
 import copy
 import random
@@ -15,7 +19,10 @@ from repro.semantics.vector import Lane, VectorSimulator
 
 warnings.filterwarnings("ignore", message=".*truncated exploration.*")
 
-MODES = ("scalar", "numpy")
+#: (lane count, test id): the count reaches the engine the id names
+ENGINES = pytest.mark.parametrize("lanes", [1, 8], ids=["scalar", "numpy"])
+WIDE_ENGINES = pytest.mark.parametrize("lanes", [3, 8],
+                                       ids=["scalar", "numpy"])
 
 
 def _interpreter_error(system, environment, *, strict=True):
@@ -40,32 +47,33 @@ def _mutated_case(mutation, max_seed=200):
 
 
 class TestErrorClassParity:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_comb_loop_same_class_as_interpreter(self, mode):
+    @ENGINES
+    def test_comb_loop_same_class_as_interpreter(self, lanes):
         case, expected = _mutated_case("comb_loop")
         assert isinstance(expected, RuntimeFaultError)
-        result = VectorSimulator(case.system, strict=True, mode=mode).run(
-            [Lane(copy.deepcopy(case.environment))],
+        result = VectorSimulator(case.system, strict=True).run(
+            [Lane(copy.deepcopy(case.environment)) for _ in range(lanes)],
             max_steps=64, capture_errors=True)
-        error = result.error(0)
-        assert type(error) is type(expected)
-        assert error.kind == expected.kind == "comb_loop"
+        for lane in range(lanes):
+            error = result.error(lane)
+            assert type(error) is type(expected)
+            assert error.kind == expected.kind == "comb_loop"
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_guard_conflict_same_class_as_interpreter(self, mode):
+    @ENGINES
+    def test_guard_conflict_same_class_as_interpreter(self, lanes):
         case, expected = _mutated_case("guard_drop")
-        result = VectorSimulator(case.system, strict=True, mode=mode).run(
-            [Lane(copy.deepcopy(case.environment))],
+        result = VectorSimulator(case.system, strict=True).run(
+            [Lane(copy.deepcopy(case.environment)) for _ in range(lanes)],
             max_steps=64, capture_errors=True)
-        error = result.error(0)
-        assert type(error) is type(expected)
+        for lane in range(lanes):
+            assert type(result.error(lane)) is type(expected)
 
 
 class TestSiblingIsolation:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_bad_lane_does_not_poison_siblings(self, mode):
-        # lane 1 exhausts its input stream under policy "raise";
-        # lanes 0 and 2 run the same system with ample input
+    @WIDE_ENGINES
+    def test_bad_lane_does_not_poison_siblings(self, lanes):
+        # lane 1 exhausts its input stream under policy "raise"; the
+        # other lanes run the same system with ample input
         config = GeneratorConfig(mutation_rate=0.0, quirk_rate=0.0)
         for seed in range(200):
             case = generate_case(seed, config)
@@ -84,28 +92,30 @@ class TestSiblingIsolation:
                 continue
             ref = simulate(case.system, copy.deepcopy(ample),
                            max_steps=64, on_limit="return")
-            result = VectorSimulator(case.system, mode=mode).run(
-                [Lane(copy.deepcopy(ample)),
-                 Lane(copy.deepcopy(starved)),
-                 Lane(copy.deepcopy(ample))],
+            envs = [ample] * lanes
+            envs[1] = starved
+            result = VectorSimulator(case.system).run(
+                [Lane(copy.deepcopy(env)) for env in envs],
                 max_steps=64, capture_errors=True)
             assert isinstance(result.error(1), ExecutionError)
             with pytest.raises(ExecutionError):
                 result.trace(1)
-            for lane in (0, 2):
+            for lane in range(lanes):
+                if lane == 1:
+                    continue
                 assert result.error(lane) is None
                 assert traces_equivalent(result.trace(lane), ref)
             return
         pytest.skip("no starvable generated case found")
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_all_lanes_err_on_structural_fault(self, mode):
+    @WIDE_ENGINES
+    def test_all_lanes_err_on_structural_fault(self, lanes):
         # a combinational loop is a property of the *system*: every lane
         # must fail with the same structured error, none silently
         case, expected = _mutated_case("comb_loop")
-        result = VectorSimulator(case.system, strict=True, mode=mode).run(
-            [Lane(copy.deepcopy(case.environment)) for _ in range(3)],
+        result = VectorSimulator(case.system, strict=True).run(
+            [Lane(copy.deepcopy(case.environment)) for _ in range(lanes)],
             max_steps=64, capture_errors=True)
-        for lane in range(3):
+        for lane in range(lanes):
             error = result.error(lane)
             assert type(error) is type(expected)
