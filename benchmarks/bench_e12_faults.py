@@ -5,8 +5,10 @@ that the runtime Definition 3.2 monitors turn the static properness
 proof into a live alarm system.  This experiment measures both.
 
 * **E12a** — hook neutrality: for every zoo design, a run with an empty
-  injector attached produces a trace equal to the plain simulator's,
-  with the incremental fast path intact (same pass counts).  The
+  injector attached produces a trace equal to the plain incremental
+  interpreter's (a bare ``SimHook``, which binds no per-step call —
+  hook-free runs take the compiled lane), with the fast path intact
+  (same pass counts).  The
   benchmark row times the hooked run so regressions in hook dispatch
   cost show up as a slowdown.
 * **E12b** — campaign coverage: an auto-generated fault set per design,
@@ -26,7 +28,7 @@ from repro.faults import (
     run_single_fault,
 )
 from repro.io import format_table
-from repro.semantics import simulate
+from repro.semantics import SimHook, simulate
 
 from conftest import emit
 
@@ -39,7 +41,9 @@ def test_e12a_hooks_are_free(zoo, benchmark):
     rows = []
     for name in sorted(zoo):
         design, system = zoo[name]
-        plain = simulate(system, design.environment(), max_steps=300_000)
+        # a bare SimHook binds no per-step call: the plain incremental path
+        plain = simulate(system, design.environment(), max_steps=300_000,
+                         hooks=[SimHook()])
         hooked = simulate(system, design.environment(), max_steps=300_000,
                           hooks=[FaultInjector([])])
         identical = (hooked == plain and hooked.events == plain.events

@@ -13,13 +13,19 @@ up the stack:
 * E13a checks the identity claim across the full zoo × policy matrix
   on both engines: a 1-lane batch runs the scalar engine, an 8-lane
   batch the numpy engine;
-* E13b races one compiled single-lane run against the interpreter
-  (target: >= 10x);
+* E13b races one compiled single-lane run against the incremental
+  interpreter (target: >= 10x);
 * E13c races a 512-lane batch with heterogeneous inputs against the
   per-run interpreter cost (target: >= 100x on the advance loop), and
   honestly reports the inclusive number once per-lane ``Trace`` objects
   are materialised — extraction is plain-Python object construction
   that every backend pays.
+
+A hook-free ``Simulator`` run now takes the compiled lane itself, so
+the reference is reached the way production reaches it: E13a compares
+against the naive evaluator (``fast=False``), and the E13b/E13c
+baselines attach a bare ``SimHook``, which binds no per-step call and
+so times the incremental interpreter's unchanged step loop.
 
 Measured numbers land in ``BENCH_vector.json`` (the CI artifact).
 """
@@ -34,6 +40,7 @@ from repro.semantics import (
     MaximalStepPolicy,
     SeededMaximalPolicy,
     SequentialPolicy,
+    SimHook,
     Simulator,
     VectorSimulator,
     compile_system,
@@ -52,9 +59,9 @@ POLICIES = [
 ]
 
 
-def _run(system, env, policy, **kwargs):
-    """One guarded run: (trace | None, error message | None)."""
-    sim = Simulator(system, env.fork(), policy, strict=False, **kwargs)
+def _run(system, env, policy):
+    """One guarded naive-reference run: (trace | None, error | None)."""
+    sim = Simulator(system, env.fork(), policy, strict=False, fast=False)
     try:
         return sim.run(max_steps=500, on_limit="return"), None
     except Exception as error:  # compared against the other backend's
@@ -121,13 +128,15 @@ def test_e13b_single_run_speedup(zoo):
     compiled = compile_system(system)
     vsim = VectorSimulator(compiled)  # one lane: the scalar engine
 
-    ref = Simulator(system, design.environment(env)).run(max_steps=20_000)
+    ref = Simulator(system, design.environment(env),
+                    hooks=[SimHook()]).run(max_steps=20_000)
     got = vsim.run([Lane(design.environment(env))],
                    max_steps=20_000).trace(0)
     assert traces_equivalent(got, ref)
 
     t_interp = _best_of(3, lambda: Simulator(
-        system, design.environment(env)).run(max_steps=20_000))
+        system, design.environment(env),
+        hooks=[SimHook()]).run(max_steps=20_000))
     t_vector = _best_of(3, lambda: vsim.run(
         [Lane(design.environment(env))], max_steps=20_000).trace(0))
     speedup = t_interp / t_vector
@@ -160,7 +169,8 @@ def test_e13c_batched_speedup(zoo):
     for i in sample:
         env = design.environment({"limit_in": [limits[i]]})
         started = time.perf_counter()
-        interp_traces[i] = Simulator(system, env).run(max_steps=20_000)
+        interp_traces[i] = Simulator(system, env, hooks=[SimHook()]).run(
+            max_steps=20_000)
         t_sample += time.perf_counter() - started
     t_interp_est = t_sample * (batch / len(interp_traces))
 

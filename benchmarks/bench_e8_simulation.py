@@ -6,9 +6,9 @@ simulator's throughput: control steps and external events per second on
 the looping zoo designs, plus scaling over a widening parallel design.
 The benchmarked kernel is a 200-iteration counter run.
 
-E8c races the naive full-recompute evaluator against the incremental
-fast path (per-marking caches + dirty-set propagation) on loop-heavy
-workloads, consuming the machine-readable ``SimMetrics`` JSON the run
+E8c races the naive full-recompute evaluator against the default engine
+(the compiled scalar lane, with its per-marking plans and memoized
+effects) on loop-heavy workloads, consuming the machine-readable ``SimMetrics`` JSON the run
 emits — the same payload ``repro simulate --profile-json`` produces.
 """
 
@@ -96,7 +96,7 @@ def loop_heavy_source(iterations: int) -> str:
 
 
 def test_e8c_fast_path_vs_naive():
-    """Incremental fast path: identical traces, measured speedup.
+    """Default engine vs naive: identical traces, measured speedup.
 
     The per-design metrics come back through the JSON serialisation
     (``SimMetrics.to_json`` → ``json.loads``) to pin the machine-readable
@@ -131,4 +131,4 @@ def test_e8c_fast_path_vs_naive():
     emit(format_table(
         ["workload", "steps", "naive evals", "fast evals",
          "hits/misses", "hit rate", "speedup"],
-        rows, title="E8c: incremental fast path vs naive evaluator"))
+        rows, title="E8c: default engine vs naive evaluator"))

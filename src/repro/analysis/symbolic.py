@@ -813,14 +813,12 @@ class SymbolicAnalyzer:
 def _compiled_event_structure(system: "DataControlSystem",
                               environment: "Environment", *,
                               max_steps: int):
-    """Event structure + firing steps via the *compiled* vector backend
-    (never the interpreter)."""
+    """Event structure + firing steps via the *compiled* scalar lane (a
+    hook-free maximal-step run never takes the interpreter)."""
     from ..semantics.event_structure import event_structure_from_trace
-    from ..semantics.policies import MaximalStepPolicy
-    from ..semantics.simulator import Simulator
+    from ..semantics.simulator import simulate
 
-    trace = Simulator(system, environment, MaximalStepPolicy(),
-                      backend="vector").run(max_steps=max_steps)
+    trace = simulate(system, environment, max_steps=max_steps)
     return event_structure_from_trace(system, trace), \
         [list(step) for step in trace.steps]
 

@@ -12,16 +12,18 @@ Commands
     rule ids; exits 1 when findings at/above ``--fail-on`` remain.
 ``simulate DESIGN [--input name=v1,v2,…]… [--max-steps N] [--profile]
 [--profile-json PATH] [--naive] [--seed N] [--checkpoint-dir DIR
---checkpoint-every N] [--resume] [--backend interpreter|vector]``
+--checkpoint-every N] [--resume]``
     Execute against an environment and print the external events;
     ``--profile`` adds step/evaluation/cache metrics (``--profile-json``
-    emits them machine-readable, ``--naive`` disables the incremental
-    fast path, ``--seed`` resolves firing choice through a seeded RNG).
+    emits them machine-readable, ``--naive`` runs the naive reference
+    evaluator, ``--seed`` resolves firing choice through a seeded RNG).
+    The run picks its engine: the compiled scalar lane
+    (:mod:`repro.semantics.vector`) unless ``--naive`` or
+    ``--checkpoint-every`` (a hook) sends it to the interpreter — the
+    printed trace is byte-identical either way.
     ``--checkpoint-every`` persists durable snapshots into
     ``--checkpoint-dir``; ``--resume`` continues from the newest intact
-    one with a byte-identical trace.  ``--backend vector`` runs the
-    compiled vector backend (:mod:`repro.semantics.vector`) instead of
-    the interpreter — same trace, compiled execution.
+    one with a byte-identical trace.
 ``faults DESIGN [--fault SPEC]… [--faults-file PATH] [--auto N]
 [--seed N] [--format text|json] [--output PATH] [--journal PATH]
 [--resume] [--backend interpreter|vector] [--chunk-size N]``
@@ -105,7 +107,7 @@ from .errors import (
 from .fuzz.corpus import DEFAULT_CORPUS_DIR as _DEFAULT_CORPUS_DIR
 from .io import dumps, format_table
 from .io.dot import datapath_to_dot, petri_to_dot, system_to_dot
-from .semantics import Environment, simulate
+from .semantics import Environment, Simulator
 from .synthesis import (
     Objective,
     compile_source,
@@ -301,27 +303,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"resuming from checkpoint at step {checkpoint.step}")
             else:
                 print("no usable checkpoint found; starting fresh")
-    if args.backend == "vector":
-        for flag, present in (("--naive", args.naive),
-                              ("--profile", args.profile),
-                              ("--profile-json", bool(args.profile_json)),
-                              ("--checkpoint-dir",
-                               bool(args.checkpoint_dir))):
-            if present:
-                raise ReproError(
-                    f"{flag} is an interpreter-backend option; it cannot "
-                    "be combined with --backend vector")
-    if hooks or checkpoint is not None:
-        from .semantics.simulator import Simulator
-
-        kwargs = {"policy": policy} if policy is not None else {}
-        sim = Simulator(system, env, fast=not args.naive, hooks=hooks,
-                        **kwargs)
-        trace = sim.run(max_steps=args.max_steps, from_checkpoint=checkpoint)
-    else:
-        trace = simulate(system, env, max_steps=args.max_steps,
-                         fast=not args.naive, policy=policy,
-                         backend=args.backend)
+    kwargs = {"policy": policy} if policy is not None else {}
+    trace = Simulator(system, env, fast=not args.naive, hooks=hooks,
+                      **kwargs).run(max_steps=args.max_steps,
+                                    from_checkpoint=checkpoint)
     print(trace.summary())
     for event in trace.events:
         print(f"  step {event.end:4d}  {event}")
@@ -1004,8 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--profile-json", metavar="PATH",
                        help="write the metrics as JSON ('-' for stdout)")
     p_sim.add_argument("--naive", action="store_true",
-                       help="disable the incremental fast path "
-                            "(reference evaluator)")
+                       help="run the naive reference evaluator instead "
+                            "of a fast engine")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="resolve firing choice through a seeded RNG "
                             "(reproducible nondeterminism)")
@@ -1019,11 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--resume", action="store_true",
                        help="resume from the newest intact checkpoint in "
                             "--checkpoint-dir")
-    p_sim.add_argument("--backend", choices=("interpreter", "vector"),
-                       default="interpreter",
-                       help="execution backend: the two-phase interpreter "
-                            "or the compiled vector backend "
-                            "(byte-identical traces)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_faults = sub.add_parser(

@@ -121,8 +121,8 @@ def run_single_fault(system, fault: FaultSpec,
     ``_golden`` is a memoization hand-off for ``faults`` jobs: a golden
     :class:`~repro.semantics.trace.Trace` for this exact ``(system,
     environment, campaign_seed, max_steps)`` configuration.  Because the
-    golden run is deterministic in those inputs (and the vector backend
-    is byte-identical to the interpreter), passing it cannot change the
+    golden run is deterministic in those inputs (and every engine gives
+    the same trace), passing it cannot change the
     payload — it only skips recomputing the same trace for every fault
     in a chunk.
     """
@@ -311,8 +311,8 @@ def run_campaign(system, faults: Sequence[FaultSpec],
     ``backend="interpreter"`` sends one ``faults`` job per fault, so
     every verdict is cached on its own.  ``backend="vector"`` sends
     ``chunk_size`` faults per job (default 16): each chunk shares one
-    golden run, computed through the compiled vector backend, across
-    its faults.  Verdicts, journal records, and the final report are
+    golden run across its faults (every golden run is hook-free, so it
+    runs on the compiled lane).  Verdicts, journal records, and the final report are
     identical under both — including the per-fault content-addressed
     ``key`` entries (:func:`~repro.runtime.jobs.fault_keys`), so a
     journal written by one backend resumes seamlessly under the

@@ -5,8 +5,9 @@ or more implementations that must agree, and reports any disagreement as
 a :class:`Divergence`:
 
 ``trace``
-    interpreter fast path vs naive evaluator vs vector backend (scalar
-    and numpy engines, reached by batch size): traces must be
+    naive evaluator vs incremental interpreter (reached, as in
+    production, through an attached hook) vs vector backend (scalar and
+    numpy engines, reached by batch size): traces must be
     observationally equal
     (:func:`~repro.semantics.profile.traces_equivalent`) or fail with
     the same structured error class/kind.
@@ -165,8 +166,11 @@ def _outcomes_match(reference, other) -> bool:
 
 
 def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
-    """Interpreter (fast + naive) vs vector backend (scalar + numpy)."""
-    from ..semantics.simulator import simulate
+    """Interpreter (naive + incremental) vs vector backend (scalar +
+    numpy).  The reference is the naive evaluator; a bare ``SimHook``
+    binds no per-step call, so the hooked leg runs the incremental path
+    with its step loop unchanged."""
+    from ..semantics.simulator import SimHook, simulate
     from ..semantics.vector import Lane, VectorSimulator
 
     report = OracleReport()
@@ -174,7 +178,8 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
 
     def interp(fast: bool):
         return simulate(system, env.fork(), strict=strict, fast=fast,
-                        max_steps=max_steps, on_limit="return")
+                        max_steps=max_steps, on_limit="return",
+                        hooks=[SimHook()] if fast else ())
 
     def vector(lanes: int):
         """Lane 0 of ``lanes`` identical lanes (the count picks the
@@ -199,9 +204,9 @@ def trace_oracle(case: FuzzCase, *, max_steps: int = 256) -> OracleReport:
         return [("ok", result.trace(i)) if result.error(i) is None
                 else _error_outcome(result.error(i)) for i in range(lanes)]
 
-    reference = _outcome(lambda: interp(True))
+    reference = _outcome(lambda: interp(False))
     checks = (
-        ("fast_naive_mismatch", lambda: interp(False)),
+        ("fast_naive_mismatch", lambda: interp(True)),
         ("vector_scalar_mismatch", lambda: vector(1)),
         ("vector_numpy_mismatch", lambda: vector(_NUMPY_LANES)),
     )

@@ -258,8 +258,10 @@ def faults_job(system, faults, environment=None, *,
     ``faults`` is a sequence of :class:`~repro.faults.spec.FaultSpec`;
     each is validated against ``system`` eagerly so a typo'd target
     fails at submission time, not inside a worker.  ``backend``
-    (``"interpreter"`` or ``"vector"``) runs the shared golden run;
-    faulty runs always take the interpreter's hook path.  The payload
+    (``"interpreter"`` or ``"vector"``) names the campaign grouping the
+    job came from and is part of its job key; it does not change
+    execution: the shared golden run is hook-free and runs on the
+    compiled lane, faulty runs take the interpreter's hook path.  The payload
     is ``{"entries": [...]}``: one
     :func:`repro.faults.campaign.run_single_fault` payload per fault,
     plus its :func:`fault_keys` key, which depends on neither the
@@ -541,12 +543,12 @@ def _run_faults(system, system_dict, params) -> dict[str, Any]:
     environment = _environment_from_dict(params.get("environment"))
     max_steps = params["max_steps"]
     campaign_seed = params["campaign_seed"]
-    # one golden run shared by every fault of the job (both backends
-    # give the same trace; see run_single_fault's _golden note)
+    # one golden run shared by every fault of the job (hook-free, so it
+    # runs on the compiled lane; see run_single_fault's _golden note)
     golden = Simulator(system, environment.fork(),
-                       SeededMaximalPolicy(campaign_seed), strict=False,
-                       backend=params["backend"]).run(
-                           max_steps=max_steps, on_limit="return")
+                       SeededMaximalPolicy(campaign_seed),
+                       strict=False).run(max_steps=max_steps,
+                                         on_limit="return")
     entries = []
     for fault, key in zip(params["faults"],
                           fault_keys(system_dict, params)):

@@ -4,10 +4,11 @@
 * :class:`~repro.semantics.environment.Environment` — predefined input
   sequences per input vertex;
 * :class:`~repro.semantics.simulator.Simulator` — the two-phase
-  interpreter of Definition 3.1;
+  interpreter of Definition 3.1, which sends hook-free runs of the
+  compiled policies to the scalar lane of the vector backend;
 * :mod:`~repro.semantics.policies` — firing-choice strategies;
 * :mod:`~repro.semantics.profile` — :class:`~repro.semantics.profile.
-  SimMetrics` step-level observability and the naive-vs-fast-path
+  SimMetrics` step-level observability and the naive-vs-default-engine
   comparison harness;
 * :mod:`~repro.semantics.event_structure` — extraction of ``S(Γ)``;
 * :mod:`~repro.semantics.vector` — the compiled batch backend:

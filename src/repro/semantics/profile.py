@@ -3,20 +3,20 @@
 The simulator's hot loop is the two-phase step of Definition 3.1:
 combinational fixpoint, then token game.  :class:`SimMetrics` counts
 what each phase actually did — steps, port evaluations, cache hits and
-misses of the fast-path memoization, peak marked places, wall time per
+misses of the engine's memo tables, peak marked places, wall time per
 phase — and every :class:`~repro.semantics.trace.Trace` carries one
 (``trace.metrics``).  The record is machine-readable (:meth:`SimMetrics.
 as_dict` / :meth:`SimMetrics.to_json`) so benchmarks and the CLI
 ``simulate --profile`` flag can consume it without screen-scraping.
 
-Two comparison helpers close the loop on the fast path's correctness
+Two comparison helpers close the loop on the fast engines' correctness
 claim:
 
 * :func:`profile_simulation` — run once, return the trace (metrics
   attached);
 * :func:`compare_paths` — run the naive full-recompute evaluator and
-  the incremental fast path on forked environments and report whether
-  the traces are observationally identical, plus the measured speedup.
+  the default engine on forked environments and report whether the
+  traces are observationally identical, plus the measured speedup.
 """
 
 from __future__ import annotations
@@ -25,19 +25,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-#: Cache names reported by the simulator, in display order.
-CACHE_NAMES = ("active_arcs", "com_order", "conflicts", "token_game")
-
-
 @dataclass
 class SimMetrics:
     """What one simulation run cost, phase by phase.
 
     ``port_evaluations`` counts combinational output-port evaluations
-    (the unit of work of phase 1); ``dirty_evaluations`` is the subset
-    performed on incremental passes — on a loop-heavy workload it stays
-    far below ``steps × |COM ports|``, which is exactly the fast path's
-    value proposition.
+    (the unit of work of phase 1; on the compiled lane, tape
+    instructions run); ``dirty_evaluations`` is the subset performed on
+    incremental passes — on a loop-heavy workload it stays far below
+    ``steps × |COM ports|``, which is exactly the incremental path's
+    value proposition.  The compiled lane runs no interpreter pass and
+    reports its ``(plan, guard bits)`` effects memo as the ``effects``
+    cache.
     """
 
     fast_path: bool = True
@@ -112,14 +111,18 @@ class SimMetrics:
 
     def summary(self) -> str:
         """Multi-line human-readable report (CLI ``--profile``)."""
-        path = "incremental fast path" if self.fast_path else "naive full pass"
+        incremental = self.fast_path and bool(self.full_passes
+                                              or self.incremental_passes)
+        path = ("naive full pass" if not self.fast_path
+                else "incremental fast path" if incremental
+                else "compiled lane")
         lines = [
             f"profile ({path}):",
             f"  steps                {self.steps}",
             f"  firings              {self.firings}",
             f"  port evaluations     {self.port_evaluations}"
             + (f" ({self.dirty_evaluations} incremental)"
-               if self.fast_path else ""),
+               if incremental else ""),
             f"  passes               {self.full_passes} full"
             f" / {self.incremental_passes} incremental",
             f"  peak marked places   {self.peak_marked_places}",
@@ -176,15 +179,17 @@ def compare_paths(system, environment=None, *,
                   policy_factory: Callable[[], object] | None = None,
                   max_steps: int = 10_000, strict: bool = True,
                   on_limit: str = "raise") -> dict:
-    """Race the naive evaluator against the incremental fast path.
+    """Race the naive evaluator against the default engine.
 
-    Both runs see forked copies of ``environment`` and fresh policy
-    instances (``policy_factory`` defaults to
+    The ``fast`` run takes whatever engine :class:`~repro.semantics.
+    simulator.Simulator` picks for it — the compiled lane for the
+    default policies.  Both runs see forked copies of ``environment``
+    and fresh policy instances (``policy_factory`` defaults to
     :class:`~repro.semantics.policies.MaximalStepPolicy`).  Returns a
     JSON-ready report::
 
         {"identical": bool,          # traces observationally equal
-         "speedup": float,           # naive wall time / fast wall time
+         "speedup": float,           # naive wall time / default wall time
          "naive": {...metrics...},
          "fast": {...metrics...}}
     """

@@ -29,25 +29,37 @@ quiescent marking with tokens remaining is reported as a deadlock.
 Activations still open at quiescence are flushed so their events are
 observed (a terminal output state's event must not be lost).
 
-The incremental fast path
--------------------------
+How the engine is chosen
+------------------------
 
-With ``fast=True`` (the default) the engine memoizes everything the
-marking determines — the open-arc set, the restricted topological COM
-order with its consumer adjacency, and the drive-conflict analysis, all
-keyed by the frozen set of marked places — and replaces the full
-combinational pass with **dirty-set propagation**: only vertices
-downstream of arcs whose open/closed status changed, or of state ports
-whose value changed (latches, environment draws), are re-evaluated, in
-the cached topological order.  The first visit to an open-arc set (a
-topology-cache miss) falls back to a full pass, which re-bases the
-persistent value map; a control state revisited inside a loop therefore
-costs a few dict lookups plus the genuinely changed cone of logic.  The
-fast path is observationally a drop-in: it produces the same
-:class:`~repro.semantics.trace.Trace` as ``fast=False`` (the naive
-full-recompute evaluator, kept as the reference).  Either way the trace
-carries a :class:`~repro.semantics.profile.SimMetrics` record of what
-the run cost.
+The run itself picks its engine; there is no user-set switch.  A run
+with ``fast=True`` (the default), no hook attached and one of the
+policies the compiler emulates exactly
+(:class:`~repro.semantics.policies.MaximalStepPolicy`,
+:class:`~repro.semantics.policies.SequentialPolicy`,
+:class:`~repro.semantics.policies.SeededMaximalPolicy`) executes on the
+**compiled scalar lane**: the system is lowered once per
+:class:`Simulator` by :mod:`repro.semantics.vector` and advanced as a
+one-lane batch, reused across that simulator's runs.  Every other run
+takes the step loop in this module:
+
+* ``fast=False`` — the naive full-recompute evaluator, kept as the
+  paper-faithful reference semantics;
+* a hooked run, or any other policy — the **incremental fast path**.
+  It memoizes everything the marking determines (the open-arc set, the
+  restricted topological COM order with its consumer adjacency, and the
+  drive-conflict analysis, all keyed by the frozen set of marked
+  places) and replaces the full combinational pass with **dirty-set
+  propagation**: only vertices downstream of arcs whose open/closed
+  status changed, or of state ports whose value changed (latches,
+  environment draws, pokes), are re-evaluated, in the cached
+  topological order.  The first visit to an open-arc set falls back to
+  a full pass, which re-bases the persistent value map.
+
+All three engines produce the same
+:class:`~repro.semantics.trace.Trace`, and every trace carries a
+:class:`~repro.semantics.profile.SimMetrics` record of what the run
+cost (its summary names the engine that ran).
 
 Hooks
 -----
@@ -221,22 +233,15 @@ class Simulator:
         becomes UNDEF, which lets the analysis tooling *observe* improper
         designs instead of dying on them.
     fast:
-        When True (default), use the incremental fast path: per-marking
-        caches plus dirty-set combinational propagation (see the module
-        docstring).  When False, recompute everything from scratch each
-        step — the naive reference evaluator.  Both produce identical
-        traces.
+        When True (default), run on a fast engine: the compiled scalar
+        lane when the run allows it, otherwise the incremental fast path
+        (see the module docstring for the choice).  When False,
+        recompute everything from scratch each step — the naive
+        reference evaluator.  All engines produce identical traces.
     hooks:
         Instrumentation attached to this run (see :class:`SimHook`).
-        Empty by default; with no hooks the step loop is unchanged.
-    backend:
-        ``"interpreter"`` (default) runs the step loop here;
-        ``"vector"`` compiles the system once and delegates to
-        :class:`repro.semantics.vector.VectorSimulator` (a one-lane
-        batch, so the scalar engine) — byte-identical traces, typically an
-        order of magnitude faster on loop-heavy designs.  The vector
-        backend supports no hooks and only the maximal-step,
-        sequential, and seeded-maximal policies.
+        Empty by default.  A hooked run always takes this module's step
+        loop, since hooks observe and perturb its per-step state.
     """
 
     system: DataControlSystem
@@ -245,30 +250,18 @@ class Simulator:
     strict: bool = True
     fast: bool = True
     hooks: Sequence[SimHook] = ()
-    backend: str = "interpreter"
 
     #: Soft bound on each memo table (markings are typically few; this
     #: only guards against pathological unbounded-marking nets).
     _CACHE_LIMIT = 1 << 16
 
     def __post_init__(self) -> None:
-        if self.backend not in ("interpreter", "vector"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose 'interpreter' "
-                "or 'vector'")
-        self._vector_sim = None  # lazy per-Simulator compiled backend
+        from .vector import POLICY_KINDS
+
+        self._vector_sim = None  # compiled lane, built on its first run
         self._dp = self.system.datapath
         self._net = self.system.net
-        # initial sequential state: SEQ ports from vertex init; INPUT 'out'
-        # ports and OUTPUT 'snk' record ports start undefined
-        self._state: dict[PortId, Value] = {}
-        for vertex in self._dp.vertices.values():
-            for port in vertex.out_ports:
-                op = vertex.operation(port)
-                if op.kind in (OpKind.SEQ, OpKind.INPUT, OpKind.OUTPUT):
-                    self._state[PortId(vertex.name, port)] = vertex.initial_value(port)
-        self._event_index: dict[str, int] = {}
-        self._activation_counter = 0
+        self._reset_run_state()
         self._external = self.system.external_arc_names()
         # guard-port dependencies are marking-independent: freeze them once
         self._guard_ports = {t: self.system.guard_ports(t)
@@ -314,6 +307,9 @@ class Simulator:
             if getattr(hook, "perturbs_values", False):
                 self._force_full = True
         self._port_taps = self._force_full and bool(self._value_hooks)
+        # exact type: a policy subclass may override ``choose`` arbitrarily
+        self._compiled = (self.fast and not self.hooks
+                          and type(self.policy) in POLICY_KINDS)
         # run-local state mirrored onto the instance so hooks and
         # checkpoint() can observe it mid-run
         self._current_step = 0
@@ -322,6 +318,20 @@ class Simulator:
         self._arc_overrides: tuple[frozenset[str], frozenset[str]] | None = None
         self.current_trace: Trace | None = None
         self._reset_run_stats()
+
+    def _reset_run_state(self) -> None:
+        """Put the run state back at M0: the initial sequential state
+        (SEQ ports from vertex init; INPUT 'out' ports and OUTPUT 'snk'
+        record ports undefined), no events emitted, no activation
+        opened."""
+        self._state: dict[PortId, Value] = {}
+        for vertex in self._dp.vertices.values():
+            for port in vertex.out_ports:
+                op = vertex.operation(port)
+                if op.kind in (OpKind.SEQ, OpKind.INPUT, OpKind.OUTPUT):
+                    self._state[PortId(vertex.name, port)] = vertex.initial_value(port)
+        self._event_index: dict[str, int] = {}
+        self._activation_counter = 0
 
     def _reset_run_stats(self) -> None:
         self._hits = {"active_arcs": 0, "com_order": 0, "conflicts": 0}
@@ -747,11 +757,7 @@ class Simulator:
 
     def _run_vector(self, max_steps: int, on_limit: str,
                     from_checkpoint: Checkpoint | None) -> Trace:
-        """Delegate this run to the compiled vector backend (one lane)."""
-        if self.hooks:
-            raise DefinitionError(
-                "the vector backend does not support simulator hooks; "
-                "use backend='interpreter' for hook-instrumented runs")
+        """Run on the compiled scalar lane (a one-lane vector batch)."""
         from .vector import Lane, VectorSimulator
         if self._vector_sim is None:
             self._vector_sim = VectorSimulator(self.system,
@@ -769,13 +775,11 @@ class Simulator:
         Valid at any step boundary: from inside a ``pre_step`` hook
         (capturing the state the step will start from) or after
         :meth:`run` returned with ``on_limit="return"`` (capturing the
-        state the next run would continue from).
+        state the next run would continue from).  After a run on the
+        compiled lane the snapshot is that lane's; either engine resumes
+        from either engine's snapshots.
         """
-        if self.backend == "vector":
-            if self._vector_sim is None:
-                raise DefinitionError(
-                    "no vector-backend run has happened yet; nothing to "
-                    "snapshot")
+        if self._vector_sim is not None:  # the compiled lane ran
             return self._vector_sim.checkpoint()[0]
         rng = getattr(self.policy, "_rng", None)
         return Checkpoint(
@@ -836,7 +840,7 @@ class Simulator:
         if max_steps <= 0:
             raise ValueError(
                 f"max_steps must be a positive step budget, got {max_steps}")
-        if self.backend == "vector":
+        if self._compiled:
             return self._run_vector(max_steps, on_limit, from_checkpoint)
         self._reset_run_stats()
         # force a full-pass re-base on the first step of every run
@@ -852,6 +856,7 @@ class Simulator:
         if from_checkpoint is not None:
             marking, activations, step = self._restore(from_checkpoint)
         else:
+            self._reset_run_state()
             marking = self._net.initial_marking()
             activations = {}
             self._start_activations(sorted(marking.marked_places()), 0,
@@ -995,8 +1000,7 @@ def simulate(system: DataControlSystem,
              strict: bool = True,
              fast: bool = True,
              on_limit: str = "raise",
-             hooks: Sequence[SimHook] = (),
-             backend: str = "interpreter") -> Trace:
+             hooks: Sequence[SimHook] = ()) -> Trace:
     """One-shot convenience wrapper around :class:`Simulator`."""
     return Simulator(
         system,
@@ -1005,5 +1009,4 @@ def simulate(system: DataControlSystem,
         strict,
         fast,
         hooks,
-        backend=backend,
     ).run(max_steps=max_steps, on_limit=on_limit)

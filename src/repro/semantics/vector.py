@@ -29,8 +29,8 @@ picks between them:
 * the **scalar engine** (batches of fewer than 8 lanes, and every
   resumed batch) runs each lane through the compiled tape with plain
   Python values — exact bignum arithmetic and checkpoint/resume
-  support (this is what ``backend="vector"`` on a single
-  :class:`~repro.semantics.simulator.Simulator` uses);
+  support (a hook-free :class:`~repro.semantics.simulator.Simulator`
+  run under a policy below executes here, as a one-lane batch);
 * the **numpy engine** (fresh batches of ≥ 8 lanes) keeps the register
   file as a ``(registers, lanes)`` ``int64``/``bool`` pair and executes
   every tape instruction across all lanes of a plan-group in one array
@@ -48,11 +48,13 @@ whenever a result might not fit in 64 bits; a numpy lane that cannot
 be held in int64 is *demoted*: it leaves the array and reruns exactly
 on the scalar engine, from its own environment and RNG snapshot.
 
-Unsupported in this backend (``DefinitionError``): simulator hooks
-(fault injectors perturb per-step state the compiler froze) and
-policies other than :class:`~repro.semantics.policies.MaximalStepPolicy`,
+Lanes take only the policies in :data:`POLICY_KINDS`
+(:class:`~repro.semantics.policies.MaximalStepPolicy`,
 :class:`~repro.semantics.policies.SequentialPolicy` and
-:class:`~repro.semantics.policies.SeededMaximalPolicy`.
+:class:`~repro.semantics.policies.SeededMaximalPolicy`; any other raises
+``DefinitionError``).  Simulator hooks have no place here — fault
+injectors perturb per-step state the compiler froze — so a hooked run
+stays on the interpreter.
 """
 
 from __future__ import annotations
@@ -100,16 +102,17 @@ class _Fallback(Exception):
     """Raised by a vector handler when int64 arithmetic might overflow."""
 
 
+#: The firing policies the compiled engines emulate, keyed by exact type
+#: (a subclass may override ``choose`` arbitrarily).
+POLICY_KINDS = {MaximalStepPolicy: "max", SequentialPolicy: "seq",
+                SeededMaximalPolicy: "rng"}
+
+
 def _policy_kind(policy: FiringPolicy) -> str:
-    """Classify a policy for compiled emulation (exact type check only:
-    a subclass may override ``choose`` arbitrarily)."""
-    cls = type(policy)
-    if cls is MaximalStepPolicy:
-        return "max"
-    if cls is SequentialPolicy:
-        return "seq"
-    if cls is SeededMaximalPolicy:
-        return "rng"
+    """Classify a policy for compiled emulation."""
+    kind = POLICY_KINDS.get(type(policy))
+    if kind is not None:
+        return kind
     raise DefinitionError(
         f"policy {policy!r} is not supported by the vector backend; use "
         "MaximalStepPolicy, SequentialPolicy or SeededMaximalPolicy")
@@ -824,11 +827,20 @@ class _ScalarLane:
 
     __slots__ = ("index", "regs", "plan", "activations", "counter",
                  "event_index", "trace", "env", "kind", "rng", "step",
-                 "finished")
+                 "finished", "port_evals", "peak_marked", "effect_hits",
+                 "effect_misses", "comb_seconds", "ctrl_seconds")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.finished = False
+        # SimMetrics counters: tape instructions run, the largest marking,
+        # (plan, guard bits) effects-memo lookups and the phase split
+        self.port_evals = 0
+        self.peak_marked = 0
+        self.effect_hits = 0
+        self.effect_misses = 0
+        self.comb_seconds = 0.0
+        self.ctrl_seconds = 0.0
 
 
 class VectorSimulator:
@@ -1014,8 +1026,14 @@ class VectorSimulator:
         trace.final_marking = st.plan.marking
         trace.final_state = {pid: st.regs[reg]
                              for pid, reg in self.compiled.state_ports}
-        trace.metrics = SimMetrics(fast_path=True, steps=st.step,
-                                   firings=trace.num_firings)
+        trace.metrics = SimMetrics(
+            fast_path=True, steps=st.step, firings=trace.num_firings,
+            port_evaluations=st.port_evals,
+            peak_marked_places=st.peak_marked,
+            combinational_seconds=st.comb_seconds,
+            control_seconds=st.ctrl_seconds,
+            cache_hits={"effects": st.effect_hits},
+            cache_misses={"effects": st.effect_misses})
 
     def _scalar_step(self, st: _ScalarLane) -> bool:
         """Advance one lane one step; True when the lane finished."""
@@ -1029,6 +1047,9 @@ class VectorSimulator:
             trace.terminated = True
             self._finalise_scalar(st)
             return True
+        if len(plan.marked_sorted) > st.peak_marked:
+            st.peak_marked = len(plan.marked_sorted)
+        phase_start = perf_counter()
         for detail in plan.conflict_details:
             trace.conflicts.append(ConflictRecord(step, "drive", detail))
             if strict:
@@ -1039,6 +1060,7 @@ class VectorSimulator:
                 f"{plan.comb_error}", step=step, kind="comb_loop")
         for instr in plan.tape:
             instr(regs)
+        st.port_evals += len(plan.tape)
         # guard truth per enabled transition, as a bitmask
         bits = 0
         for i, gregs in enumerate(plan.guard_regs):
@@ -1050,6 +1072,8 @@ class VectorSimulator:
                     if v is not UNDEF and v:
                         bits |= 1 << i
                         break
+        control_start = perf_counter()
+        st.comb_seconds += control_start - phase_start
         if plan.candidates:
             first = None
             for place, cand in plan.candidates:
@@ -1067,15 +1091,19 @@ class VectorSimulator:
         if st.kind == "rng":
             chosen = comp.seeded_chosen(plan, bits, st.rng)
             key = ("rng", chosen)
-            effects = comp.effects_for(plan, key, chosen)
         else:
+            chosen = None
             key = (st.kind, bits)
-            effects = plan.effects.get(key)
-            if effects is None:
+        effects = plan.effects.get(key)
+        if effects is None:
+            st.effect_misses += 1
+            if chosen is None:
                 chosen = (comp.maximal_chosen(plan, bits)
                           if st.kind == "max"
                           else comp.sequential_chosen(plan, bits))
-                effects = comp.effects_for(plan, key, chosen)
+            effects = comp.effects_for(plan, key, chosen)
+        else:
+            st.effect_hits += 1
         if not effects.chosen:
             # quiescent with tokens: deadlock; flush open activations
             for place in plan.marked_sorted:
@@ -1091,6 +1119,7 @@ class VectorSimulator:
                         state=place, activation=ident, start=start,
                         end=step))
             trace.deadlocked = True
+            st.ctrl_seconds += perf_counter() - control_start
             self._finalise_scalar(st)
             return True
         latch_plan: dict[PortId, tuple[Value, str, int]] = {}
@@ -1133,6 +1162,7 @@ class VectorSimulator:
         for vertex, reg in effects.draws:
             regs[reg] = st.env.draw(vertex)
         st.plan = effects.next_plan
+        st.ctrl_seconds += perf_counter() - control_start
         return False
 
     def _lane_checkpoint(self, st) -> Checkpoint:

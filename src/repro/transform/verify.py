@@ -61,8 +61,7 @@ def _extract_vector(system: DataControlSystem, environment: Environment,
     """Event structure via the compiled vector engine."""
     from ..semantics.simulator import Simulator
 
-    trace = Simulator(system, environment, policy,
-                      backend="vector").run(max_steps=max_steps)
+    trace = Simulator(system, environment, policy).run(max_steps=max_steps)
     return event_structure_from_trace(system, trace)
 
 

@@ -34,9 +34,10 @@ class TestHookNeutrality:
 
     def test_empty_injector_trace_identical(self):
         system, env = _gcd()
-        plain = simulate(system, env.fork())
+        # a bare SimHook binds no per-step call: the plain incremental path
+        plain = simulate(system, env.fork(), hooks=[SimHook()])
         injected = simulate(system, env.fork(), hooks=[FaultInjector([])])
-        assert injected == plain
+        assert injected == plain == simulate(system, env.fork())
         # the fast path must stay incremental: an empty injector has no
         # stuck-at faults, so perturbs_values is False
         assert injected.metrics.incremental_passes == \

@@ -65,22 +65,25 @@ EXPECTED = [
 
 
 def test_records_are_in_sorted_place_order():
-    trace = simulate(four_way_conflict_system(), strict=False,
-                     max_steps=10, on_limit="return")
-    assert conflict_details(trace) == EXPECTED
+    for fast in (True, False):  # compiled lane, interpreter
+        trace = simulate(four_way_conflict_system(), strict=False,
+                         max_steps=10, on_limit="return", fast=fast)
+        assert conflict_details(trace) == EXPECTED
 
 
 def test_strict_mode_raises_the_sorted_first_conflict():
-    with pytest.raises(ExecutionError) as exc:
-        simulate(four_way_conflict_system(), strict=True, max_steps=10)
-    assert str(exc.value) == EXPECTED[0]  # s_alpha, never hash-order
+    for fast in (True, False):  # compiled lane, interpreter
+        with pytest.raises(ExecutionError) as exc:
+            simulate(four_way_conflict_system(), strict=True, max_steps=10,
+                     fast=fast)
+        assert str(exc.value) == EXPECTED[0]  # s_alpha, never hash-order
 
 
 def test_vector_backend_agrees():
     interp = simulate(four_way_conflict_system(), strict=False,
-                      max_steps=10, on_limit="return")
+                      max_steps=10, on_limit="return", fast=False)
     vector = simulate(four_way_conflict_system(), strict=False,
-                      max_steps=10, on_limit="return", backend="vector")
+                      max_steps=10, on_limit="return")
     assert conflict_details(vector) == conflict_details(interp) == EXPECTED
 
 
@@ -92,10 +95,11 @@ from test_conflict_record_order import (conflict_details,
                                         four_way_conflict_system)
 from repro.semantics import simulate
 
-trace = simulate(four_way_conflict_system(), strict=False, max_steps=10,
-                 on_limit="return")
-for detail in conflict_details(trace):
-    print(detail)
+for fast in (True, False):  # compiled lane, interpreter
+    trace = simulate(four_way_conflict_system(), strict=False, max_steps=10,
+                     on_limit="return", fast=fast)
+    for detail in conflict_details(trace):
+        print(detail)
 """
 
 
@@ -112,4 +116,4 @@ def test_identical_across_hash_seeds():
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         outputs.add(proc.stdout)
-    assert outputs == {"\n".join(EXPECTED) + "\n"}
+    assert outputs == {"\n".join(EXPECTED * 2) + "\n"}

@@ -297,7 +297,8 @@ def test_demoted_lane_checkpoint_resumes_to_the_reference():
     assert lane_cp.step == budget
     got = Simulator(system, Environment({"n_in": [2**62 + 5]})).run(
         max_steps=10_000, from_checkpoint=lane_cp)
-    interp = Simulator(system, Environment({"n_in": [2**62 + 5]}))
+    interp = Simulator(system, Environment({"n_in": [2**62 + 5]}),
+                       fast=False)
     interp.run(max_steps=budget, on_limit="return")
     ref = interp.run(max_steps=10_000, from_checkpoint=interp.checkpoint())
     assert traces_equivalent(got, ref)

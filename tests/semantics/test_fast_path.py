@@ -1,11 +1,14 @@
-"""The incremental fast path is a drop-in for the naive evaluator.
+"""The fast engines are drop-ins for the naive evaluator.
 
-``Simulator(fast=True)`` memoizes per-marking state (open arcs, COM
-topology, drive conflicts, enabled transitions) and propagates values
-along dirty edges only; ``fast=False`` recomputes everything from
-scratch.  These tests pin the contract: *byte-identical traces* on every
-curated design under both firing policies, sane metrics, and a working
-profile module.
+``Simulator(fast=True)`` runs a hook-free run on the compiled scalar
+lane, and a hooked one on the incremental interpreter, which memoizes
+per-marking state (open arcs, COM topology, drive conflicts, enabled
+transitions) and propagates values along dirty edges only;
+``fast=False`` recomputes everything from scratch.  A bare
+:class:`SimHook` binds no per-step call, so it reaches the incremental
+path with the step loop unchanged.  These tests pin the contract:
+*byte-identical traces* from all three engines on every curated design
+under both firing policies, sane metrics, and a working profile module.
 """
 
 import json
@@ -18,6 +21,7 @@ from repro.semantics import (
     Environment,
     MaximalStepPolicy,
     SequentialPolicy,
+    SimHook,
     SimMetrics,
     Simulator,
     compare_paths,
@@ -30,30 +34,32 @@ from repro.synthesis import compile_source
 DESIGNS = {design.name: design for design in all_designs()}
 
 
-def _run(design, *, fast, policy_cls=MaximalStepPolicy, max_steps=500_000):
+def _run(design, *, fast, policy_cls=MaximalStepPolicy, max_steps=500_000,
+         hooks=()):
     system = design.build()
     return Simulator(system, design.environment(), policy_cls(), True,
-                     fast).run(max_steps=max_steps)
+                     fast, hooks).run(max_steps=max_steps)
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_fast_path_trace_identical_on_zoo(name):
     design = DESIGNS[name]
     naive = _run(design, fast=False)
-    fast = _run(design, fast=True)
-    # field-by-field: the fast path must be observationally invisible
-    assert fast.events == naive.events
-    assert fast.steps == naive.steps
-    assert fast.latches == naive.latches
-    assert fast.conflicts == naive.conflicts
-    assert fast.final_marking == naive.final_marking
-    assert fast.final_state == naive.final_state
-    assert fast.terminated == naive.terminated
-    assert fast.deadlocked == naive.deadlocked
-    assert fast.step_count == naive.step_count
-    assert traces_equivalent(naive, fast)
-    # dataclass equality agrees (metrics are excluded from comparison)
-    assert fast == naive
+    for fast in (_run(design, fast=True),
+                 _run(design, fast=True, hooks=[SimHook()])):
+        # field-by-field: each fast engine must be observationally invisible
+        assert fast.events == naive.events
+        assert fast.steps == naive.steps
+        assert fast.latches == naive.latches
+        assert fast.conflicts == naive.conflicts
+        assert fast.final_marking == naive.final_marking
+        assert fast.final_state == naive.final_state
+        assert fast.terminated == naive.terminated
+        assert fast.deadlocked == naive.deadlocked
+        assert fast.step_count == naive.step_count
+        assert traces_equivalent(naive, fast)
+        # dataclass equality agrees (metrics are excluded from comparison)
+        assert fast == naive
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
@@ -61,18 +67,23 @@ def test_fast_path_identical_under_sequential_policy(name):
     design = DESIGNS[name]
     naive = _run(design, fast=False, policy_cls=SequentialPolicy,
                  max_steps=2_000_000)
-    fast = _run(design, fast=True, policy_cls=SequentialPolicy,
-                max_steps=2_000_000)
-    assert traces_equivalent(naive, fast)
+    for hooks in ((), [SimHook()]):
+        fast = _run(design, fast=True, policy_cls=SequentialPolicy,
+                    max_steps=2_000_000, hooks=hooks)
+        assert traces_equivalent(naive, fast)
 
 
 def test_metrics_attached_and_consistent():
     design = DESIGNS["counter"]
-    trace = _run(design, fast=True)
+    lane = _run(design, fast=True).metrics
+    assert lane is not None and lane.fast_path
+    assert lane.full_passes == lane.incremental_passes == 0
+    assert 0 < lane.port_evaluations and lane.peak_marked_places >= 1
+    trace = _run(design, fast=True, hooks=[SimHook()])
     metrics = trace.metrics
     assert metrics is not None and metrics.fast_path
-    assert metrics.steps == trace.step_count
-    assert metrics.firings == trace.num_firings
+    assert lane.steps == metrics.steps == trace.step_count
+    assert lane.firings == metrics.firings == trace.num_firings
     assert metrics.full_passes + metrics.incremental_passes == metrics.steps
     assert metrics.dirty_evaluations <= metrics.port_evaluations
     assert metrics.peak_marked_places >= 1
@@ -91,7 +102,11 @@ def test_loop_heavy_run_hits_caches():
           limit = read(l);
           while (n < limit) { write(o, n); n = n + 1; }
         }""")
-    trace = simulate(system, Environment.of(l=[50]), max_steps=100_000)
+    lane = simulate(system, Environment.of(l=[50]), max_steps=100_000).metrics
+    assert lane is not None
+    assert lane.cache_hits["effects"] > lane.cache_misses["effects"]
+    trace = simulate(system, Environment.of(l=[50]), max_steps=100_000,
+                     hooks=[SimHook()])
     metrics = trace.metrics
     assert metrics is not None
     assert metrics.total_cache_hits > metrics.total_cache_misses

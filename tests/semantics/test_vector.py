@@ -5,7 +5,9 @@ a system once and advancing lanes in batch — on the scalar engine
 (fewer than 8 lanes) or the numpy engine (8 or more) — must reproduce
 the interpreter's traces exactly, on every zoo design, under every
 supported policy, through checkpoints, and in every degenerate shape
-(empty batch, single lane).
+(empty batch, single lane).  A hook-free ``Simulator`` run already
+takes the scalar engine, so the interpreter reference here is the naive
+evaluator (``fast=False``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.semantics import (
     RandomPolicy,
     SeededMaximalPolicy,
     SequentialPolicy,
+    SimHook,
     Simulator,
     VectorSimulator,
     compile_system,
@@ -41,7 +44,7 @@ POLICIES = {
 
 
 def _interpreter(system, env, policy):
-    sim = Simulator(system, env, policy, strict=False)
+    sim = Simulator(system, env, policy, strict=False, fast=False)
     try:
         return sim.run(max_steps=500, on_limit="return"), None
     except Exception as error:
@@ -80,7 +83,7 @@ class TestBatchShapes:
     def test_single_lane_auto(self):
         design = get_design("counter")
         system = design.build()
-        ref = simulate(system, design.environment())
+        ref = simulate(system, design.environment(), fast=False)
         got = VectorSimulator(system).run(
             [Lane(design.environment())]).trace(0)
         assert traces_equivalent(got, ref)
@@ -93,7 +96,8 @@ class TestBatchShapes:
         result = VectorSimulator(system).run(
             [Lane(design.environment({"limit_in": [n]})) for n in limits])
         for i, n in enumerate(limits):
-            ref = simulate(system, design.environment({"limit_in": [n]}))
+            ref = simulate(system, design.environment({"limit_in": [n]}),
+                           fast=False)
             assert traces_equivalent(result.trace(i), ref)
 
     def test_seeded_lanes_are_independent(self):
@@ -106,7 +110,7 @@ class TestBatchShapes:
              for s in seeds])
         for i, s in enumerate(seeds):
             ref = simulate(system, design.environment(),
-                           policy=SeededMaximalPolicy(s))
+                           policy=SeededMaximalPolicy(s), fast=False)
             assert traces_equivalent(result.trace(i), ref)
 
     def test_compiled_system_is_reusable(self):
@@ -120,7 +124,7 @@ class TestBatchShapes:
 class TestCheckpoints:
     def _split_vs_straight(self, system, env_factory, budget):
         """Interpreter and vector backends must agree across a split."""
-        interp = Simulator(system, env_factory(), strict=False)
+        interp = Simulator(system, env_factory(), strict=False, fast=False)
         interp.run(max_steps=budget, on_limit="return")
         cp = interp.checkpoint()
         ref = interp.run(max_steps=500, on_limit="return",
@@ -152,7 +156,7 @@ class TestCheckpoints:
         for i, n in enumerate(limits):
             interp = Simulator(system,
                                design.environment({"limit_in": [n]}),
-                               strict=False)
+                               strict=False, fast=False)
             interp.run(max_steps=4, on_limit="return")
             ref = interp.run(max_steps=500, on_limit="return",
                              from_checkpoint=interp.checkpoint())
@@ -166,10 +170,11 @@ class TestCheckpoints:
         vsim.run([Lane(design.environment({"limit_in": [8]}))],
                  max_steps=4, on_limit="return")
         (lane_cp,) = vsim.checkpoint()
-        got = Simulator(system,
-                        design.environment({"limit_in": [8]})).run(
-                            max_steps=500, from_checkpoint=lane_cp)
-        interp = Simulator(system, design.environment({"limit_in": [8]}))
+        got = Simulator(system, design.environment({"limit_in": [8]}),
+                        fast=False).run(max_steps=500,
+                                        from_checkpoint=lane_cp)
+        interp = Simulator(system, design.environment({"limit_in": [8]}),
+                           fast=False)
         interp.run(max_steps=4, on_limit="return")
         ref = interp.run(max_steps=500,
                          from_checkpoint=interp.checkpoint())
@@ -212,11 +217,11 @@ class TestValidationAndErrors:
         system = four_way_conflict_system()
         ref_err = vec_err = None
         try:
-            simulate(system, max_steps=10)
+            simulate(system, max_steps=10, fast=False)
         except ExecutionError as error:
             ref_err = str(error)
         try:
-            simulate(system, max_steps=10, backend="vector")
+            simulate(system, max_steps=10)
         except ExecutionError as error:
             vec_err = str(error)
         assert ref_err is not None and "compete for the token" in ref_err
@@ -225,9 +230,9 @@ class TestValidationAndErrors:
     def test_guarded_choice_parity(self):
         system = guarded_choice_system()
         for x in (0, 7):
-            ref = simulate(system, Environment.of(x=[x]), max_steps=500)
-            got = simulate(system, Environment.of(x=[x]), max_steps=500,
-                           backend="vector")
+            ref = simulate(system, Environment.of(x=[x]), max_steps=500,
+                           fast=False)
+            got = simulate(system, Environment.of(x=[x]), max_steps=500)
             assert traces_equivalent(got, ref)
 
     def test_missing_value_function_raises_like_interpreter(self):
@@ -241,9 +246,9 @@ class TestValidationAndErrors:
         dp.connect("r.q", "f.i", name="a_f")
         system.set_control("s_write", ["a_out", "a_f"])
         messages = set()
-        for backend in ("interpreter", "vector"):
+        for fast in (False, True):
             with pytest.raises(DefinitionError) as info:
-                simulate(system, Environment.of(x=[1]), backend=backend)
+                simulate(system, Environment.of(x=[1]), fast=fast)
             messages.add(str(info.value))
         with pytest.raises(DefinitionError) as info:
             VectorSimulator(system).run(
@@ -257,7 +262,7 @@ class TestValidationAndErrors:
         env = design.environment({"limit_in": [50]})
         with pytest.raises(ExecutionError,
                            match="did not finish within 10 steps"):
-            simulate(system, env, max_steps=10, backend="vector")
+            simulate(system, env, max_steps=10)
 
     def test_capture_errors_isolates_bad_lane(self):
         design = get_design("counter")
@@ -275,38 +280,44 @@ class TestValidationAndErrors:
 
 class TestSimulatorBackend:
     def test_simulate_backend_kwarg(self):
+        """Plain ``simulate()`` runs on the compiled lane, exactly."""
         design = get_design("gcd")
         system = design.build()
-        ref = simulate(system, design.environment())
-        got = simulate(system, design.environment(), backend="vector")
+        ref = simulate(system, design.environment(), fast=False)
+        got = simulate(system, design.environment())
         assert traces_equivalent(got, ref)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            Simulator(relay_system(), Environment.of(x=[1]),
-                      backend="gpu")
-
-    def test_hooks_rejected(self):
-        from repro.semantics import SimHook
-
-        sim = Simulator(relay_system(), Environment.of(x=[1]),
-                        hooks=[SimHook()], backend="vector")
-        with pytest.raises(DefinitionError, match="hooks"):
-            sim.run(max_steps=10)
+    @pytest.mark.parametrize("hooked, policy", [
+        (False, "maximal"), (False, "sequential"), (False, "seeded"),
+        (True, "maximal"), (False, "random")])
+    def test_run_picks_engine(self, hooked, policy):
+        """Hook-free runs under the compiled policies take the compiled
+        lane; a hooked run or another policy takes the interpreter."""
+        design = get_design("gcd")
+        system = design.build()
+        make = dict(POLICIES, random=lambda: RandomPolicy(3))[policy]
+        hooks = [SimHook()] if hooked else []
+        trace = Simulator(system, design.environment(), make(),
+                          hooks=hooks).run()
+        compiled = not hooked and policy != "random"
+        metrics = trace.metrics
+        assert ("compiled lane" in metrics.summary()) == compiled
+        assert (metrics.full_passes + metrics.incremental_passes
+                == (0 if compiled else trace.step_count))
+        ref = Simulator(system, design.environment(), make(),
+                        fast=False).run()
+        assert traces_equivalent(trace, ref)
 
     def test_checkpoint_through_backend(self):
         design = get_design("counter")
         system = design.build()
-        sim = Simulator(system, design.environment({"limit_in": [9]}),
-                        backend="vector")
-        with pytest.raises(DefinitionError, match="nothing to snapshot"):
-            sim.checkpoint()
+        sim = Simulator(system, design.environment({"limit_in": [9]}))
         sim.run(max_steps=4, on_limit="return")
         cp = sim.checkpoint()
-        got = Simulator(system, design.environment({"limit_in": [9]}),
-                        backend="vector").run(max_steps=500,
-                                              from_checkpoint=cp)
-        interp = Simulator(system, design.environment({"limit_in": [9]}))
+        got = Simulator(system, design.environment({"limit_in": [9]})).run(
+            max_steps=500, from_checkpoint=cp)
+        interp = Simulator(system, design.environment({"limit_in": [9]}),
+                           fast=False)
         interp.run(max_steps=4, on_limit="return")
         ref = interp.run(max_steps=500,
                          from_checkpoint=interp.checkpoint())

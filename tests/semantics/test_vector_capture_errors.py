@@ -3,6 +3,8 @@ interpreter, sibling lanes unpoisoned.
 
 Each test runs on both engines; the lane count picks the engine (fewer
 than 8 lanes run on the scalar engine, 8 or more on the numpy engine).
+The interpreter reference is the naive evaluator (``fast=False``): a
+plain ``simulate()`` would itself run on the scalar engine.
 """
 
 import copy
@@ -28,7 +30,7 @@ WIDE_ENGINES = pytest.mark.parametrize("lanes", [3, 8],
 def _interpreter_error(system, environment, *, strict=True):
     try:
         simulate(system, copy.deepcopy(environment), max_steps=64,
-                 strict=strict, on_limit="return")
+                 strict=strict, on_limit="return", fast=False)
         return None
     except ReproError as error:
         return error
@@ -91,7 +93,7 @@ class TestSiblingIsolation:
             if _interpreter_error(case.system, starved) is None:
                 continue
             ref = simulate(case.system, copy.deepcopy(ample),
-                           max_steps=64, on_limit="return")
+                           max_steps=64, on_limit="return", fast=False)
             envs = [ample] * lanes
             envs[1] = starved
             result = VectorSimulator(case.system).run(

@@ -61,7 +61,7 @@ class TestSimulate:
     def test_profile_prints_metrics(self, capsys):
         assert main(["simulate", "counter", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "incremental fast path" in out
+        assert "compiled lane" in out
         assert "cache hit rate" in out
 
     def test_naive_profile(self, capsys):
@@ -86,7 +86,7 @@ class TestSimulate:
                      "--profile-json", str(target)]) == 0
         assert f"profile written to {target}" in capsys.readouterr().out
         payload = json.loads(target.read_text())
-        assert payload["cache_hits"]["com_order"] >= 0
+        assert payload["cache_hits"]["effects"] >= 0
 
 
 class TestSynthesize:
